@@ -31,10 +31,6 @@ def main() -> None:
     rng = SeededRng(0)
     cases = []
 
-    exp_draws = rng.exponential(size=(20_000, 200))
-    c = 3.0 * rng.uniform(size=20_000)
-    cases.append(("pg_series (20k x 200)", k.pg_series, k.pg_series_numpy, (exp_draws, c)))
-
     xs = rng.normal(size=(1_500, 5))
     ys = rng.normal(size=(1_500, 5))
     cases.append(

@@ -16,8 +16,6 @@ import os
 
 import numpy as np
 
-_TWO_PI_SQ = 2.0 * np.pi**2
-
 
 def _numba_disabled() -> bool:
     return os.environ.get("AMCMC_DISABLE_NUMBA", "").strip().lower() in {
@@ -30,18 +28,6 @@ def _numba_disabled() -> bool:
 # ---------------------------------------------------------------------------
 # pure-numpy implementations (always importable, used as the fallback path)
 # ---------------------------------------------------------------------------
-
-
-def pg_series_numpy(exp_draws: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Truncated Polya-Gamma series sum.
-
-    exp_draws has shape (m, T) of Exp(1) variates; c has shape (m,).
-    Returns (1 / 2pi^2) * sum_k g_k / ((k - 1/2)^2 + c^2 / 4pi^2) per row.
-    """
-    T = exp_draws.shape[1]
-    k = np.arange(1, T + 1, dtype=np.float64)
-    denom = (k - 0.5) ** 2 + (c[:, None] * c[:, None]) / (4.0 * np.pi**2)
-    return (exp_draws / denom).sum(axis=1) / _TWO_PI_SQ
 
 
 def gauss_kernel_sum_numpy(xs: np.ndarray, ys: np.ndarray, phi: float) -> float:
@@ -87,18 +73,6 @@ if not _numba_disabled():
 
 if HAS_NUMBA:
 
-    @njit(cache=True)
-    def pg_series_numba(exp_draws, c):  # pragma: no cover - compiled
-        m, T = exp_draws.shape
-        out = np.empty(m, dtype=np.float64)
-        for i in range(m):
-            ci2 = c[i] * c[i] / (4.0 * np.pi**2)
-            acc = 0.0
-            for k in range(T):
-                acc += exp_draws[i, k] / ((k + 0.5) ** 2 + ci2)
-            out[i] = acc / (2.0 * np.pi**2)
-        return out
-
     @njit(cache=True, parallel=False)
     def gauss_kernel_sum_numba(xs, ys, phi):  # pragma: no cover - compiled
         m, q = xs.shape
@@ -131,10 +105,8 @@ if HAS_NUMBA:
             path[i + 1] = state
         return path
 
-    pg_series = pg_series_numba
     gauss_kernel_sum = gauss_kernel_sum_numba
     finite_chain_path = finite_chain_path_numba
 else:
-    pg_series = pg_series_numpy
     gauss_kernel_sum = gauss_kernel_sum_numpy
     finite_chain_path = finite_chain_path_numpy

@@ -108,6 +108,36 @@ SCHEMAS = {
 }
 
 
+#: Smallest accepted value of each integer setting.  Checked after the config
+#: is resolved and --budget-steps applied, so an out-of-range value exits 2
+#: with a JSON record instead of failing inside a subcommand.  Every trace
+#: needs two steps.
+MINIMUMS = {
+    "t_max": 1,
+    "t_points": 1,
+    "tau_points": 1,
+    "p": 1,
+    "d": 1,
+    "K": 1,
+    "N": 1,
+    "n": 2,
+    "q": 1,
+    "steps": 2,
+    "burn_in": 0,
+    "top_cells": 1,
+    "audit_every": 0,
+    "d_prob": 0,
+    "phi_grid_size": 1,
+    "k_max": 1,
+}
+
+
+def check_ranges(cfg: dict) -> None:
+    for key, low in MINIMUMS.items():
+        if key in cfg and cfg[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
+
+
 def _linspace_int(t_max: int, points: int) -> list[int]:
     ts = np.unique(np.geomspace(1, t_max, points).astype(np.int64))
     return [int(t) for t in ts]
@@ -553,6 +583,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(SCHEMAS[name], file_values, overrides)
         if args.budget_steps is not None and "steps" in cfg:
             cfg["steps"] = min(cfg["steps"], args.budget_steps)
+        check_ranges(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 

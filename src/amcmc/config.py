@@ -21,6 +21,8 @@ from typing import Any
 import numpy as np
 import scipy
 
+from . import __version__
+
 __all__ = [
     "parse_config_file",
     "resolve_config",
@@ -97,7 +99,7 @@ def write_manifest(out_dir: str | Path, subcommand: str, config: dict[str, Any])
         "config_hash": config_hash(config),
         "seed": config.get("seed"),
         "versions": {
-            "amcmc": "0.1.0",
+            "amcmc": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .distributions import SeededRng, sample_polya_gamma
 
@@ -56,6 +57,11 @@ class LogisticData:
     @property
     def kappa(self) -> np.ndarray:
         return self.y - 0.5
+
+    @cached_property
+    def Xt_kappa(self) -> np.ndarray:
+        """X' kappa, the data term of every beta conditional's mean."""
+        return self.X.T @ self.kappa
 
     @property
     def N(self) -> int:
@@ -97,38 +103,38 @@ class SubsetPolicy:
             raise ValueError("fixed policy needs a positive size")
 
 
-def _precision_factor(A: np.ndarray):
+def _precision_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of a precision matrix, as (L, lower=True)."""
     try:
-        return cho_factor(A, lower=True)
+        return cholesky(A, lower=True), True
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ValueError(f"precision matrix not PD: {exc}") from exc
 
 
+def _prior_terms(b: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^{-1} and B^{-1} b, constant over a chain."""
+    B_inv = np.linalg.inv(B)
+    return B_inv, B_inv @ b
+
+
 def _draw_beta(
     rng: SeededRng,
-    X_full: np.ndarray,
-    kappa: np.ndarray,
+    Xr: np.ndarray,
     omega: np.ndarray,
-    rows: np.ndarray,
     scale: float,
     B_inv: np.ndarray,
-    prior_shift: np.ndarray | None,
+    h: np.ndarray,
 ) -> np.ndarray:
-    """beta ~ N(S h, S), S = (scale * X_rows' Omega X_rows + B^{-1})^{-1},
-    h = X' kappa (+ B^{-1} b when prior_shift is given).
+    """beta ~ N(S h, S), S = (scale * Xr' Omega Xr + B^{-1})^{-1}.
 
     The draw is mean + L^{-T} z for A = L L', so matched seeds give
     bit-identical draws whenever A and h match.
     """
-    Xr = X_full[rows]
     A = scale * (Xr.T * omega) @ Xr + B_inv
-    h = X_full.T @ kappa
-    if prior_shift is not None:
-        h = h + prior_shift
-    c, low = _precision_factor(A)
-    mean = cho_solve((c, low), h)
+    factor = _precision_factor(A)
+    mean = cho_solve(factor, h)
     z = rng.normal(size=len(h))
-    return mean + solve_triangular(c, z, lower=low, trans="T")
+    return mean + solve_triangular(factor[0], z, lower=True, trans="T")
 
 
 def gibbs_step_exact(
@@ -137,16 +143,15 @@ def gibbs_step_exact(
     data: LogisticData,
     b: np.ndarray,
     B: np.ndarray,
+    prior: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PGState:
     """Full-data PG sweep: all omega_i, then beta from its Gaussian
-    conditional."""
-    B_inv = np.linalg.inv(B)
-    rows = np.arange(data.N)
+    conditional.  ``prior`` is ``_prior_terms(b, B)``, when the caller has
+    formed it once for the chain."""
+    B_inv, shift = _prior_terms(b, B) if prior is None else prior
     omega = np.asarray(sample_polya_gamma(rng, data.X @ state.beta))
-    beta = _draw_beta(
-        rng, data.X, data.kappa, omega, rows, 1.0, B_inv, B_inv @ b
-    )
-    return PGState(beta, omega, rows)
+    beta = _draw_beta(rng, data.X, omega, 1.0, B_inv, data.Xt_kappa + shift)
+    return PGState(beta, omega, np.arange(data.N))
 
 
 def gibbs_step_subset(
@@ -156,27 +161,28 @@ def gibbs_step_subset(
     b: np.ndarray,
     B: np.ndarray,
     policy: SubsetPolicy,
+    prior: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PGState:
     """Subset-covariance PG sweep.
 
     The subset is uniform without replacement and redrawn every step; when
     the requested size equals N the subset draw is skipped entirely so the
-    step consumes exactly the randomness of the exact sweep.
+    step consumes exactly the randomness, and does exactly the arithmetic,
+    of the exact sweep.  ``prior`` is as in :func:`gibbs_step_exact`.
     """
-    B_inv = np.linalg.inv(B)
+    B_inv = _prior_terms(b, B)[0] if prior is None else prior[0]
     size = policy.size if policy.mode == "fixed" else _adaptive_size(state, data, policy)
     if size is None or size > data.N:
         size = data.N
     if size < data.p + 1:
         raise ValueError(f"subset size {size} below p + 1 = {data.p + 1}")
     if size == data.N:
-        rows = np.arange(data.N)
+        rows, Xr = np.arange(data.N), data.X
     else:
         rows = np.sort(rng.permutation(data.N)[:size])
-    omega = np.asarray(sample_polya_gamma(rng, data.X[rows] @ state.beta))
-    beta = _draw_beta(
-        rng, data.X, data.kappa, omega, rows, data.N / size, B_inv, None
-    )
+        Xr = data.X[rows]
+    omega = np.asarray(sample_polya_gamma(rng, Xr @ state.beta))
+    beta = _draw_beta(rng, Xr, omega, data.N / size, B_inv, data.Xt_kappa)
     return PGState(beta, omega, rows)
 
 
@@ -197,13 +203,13 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
     S1 = np.asarray(S1, dtype=np.float64)
     S2 = np.asarray(S2, dtype=np.float64)
     p = len(m1)
-    c2, low2 = _precision_factor(S2)
-    c1, low1 = _precision_factor(S1)
-    tr = float(np.trace(cho_solve((c2, low2), S1)))
+    f2 = _precision_factor(S2)
+    f1 = _precision_factor(S1)
+    tr = float(np.trace(cho_solve(f2, S1)))
     diff = m2 - m1
-    quad = float(diff @ cho_solve((c2, low2), diff))
-    logdet1 = 2.0 * float(np.log(np.diag(c1)).sum())
-    logdet2 = 2.0 * float(np.log(np.diag(c2)).sum())
+    quad = float(diff @ cho_solve(f2, diff))
+    logdet1 = 2.0 * float(np.log(np.diag(f1[0])).sum())
+    logdet2 = 2.0 * float(np.log(np.diag(f2[0])).sum())
     return 0.5 * (tr - p + quad + logdet2 - logdet1)
 
 
@@ -273,19 +279,19 @@ def run_chain(
     """
     beta = np.zeros(data.p)
     state = PGState(beta, np.full(data.N, 0.25), np.arange(data.N))
-    B_inv = np.linalg.inv(B)
+    prior = _prior_terms(b, B)
     keep = np.empty((steps, data.p))
     audit_steps: list[int] = []
     audit_tv: list[float] = []
     for i in range(burn_in + steps):
         if policy is None:
-            state = gibbs_step_exact(rng, state, data, b, B)
+            state = gibbs_step_exact(rng, state, data, b, B, prior)
         else:
-            state = gibbs_step_subset(rng, state, data, b, B, policy)
+            state = gibbs_step_subset(rng, state, data, b, B, policy, prior)
             if audit_every and (i % audit_every == 0):
                 if audit_rng is None:
                     raise ValueError("auditing requires audit_rng")
-                tv = _audit_tv(audit_rng, state, data, B_inv)
+                tv = _audit_tv(audit_rng, state, data, prior[0])
                 audit_steps.append(i)
                 audit_tv.append(tv)
         if i >= burn_in:
@@ -296,17 +302,22 @@ def run_chain(
 def _audit_tv(
     audit_rng: SeededRng, state: PGState, data: LogisticData, B_inv: np.ndarray
 ) -> float:
-    """Pinsker gauge of the beta-update error at the current state."""
+    """Pinsker gauge of the beta-update error at the current state:
+    KL(N(S_V h, S_V) || N(S_N h, S_N)) from the Cholesky factors L_V, L_N
+    of the two precisions, without forming either covariance:
+    tr(S_N^{-1} S_V) = ||L_V^{-1} L_N||_F^2, the quadratic term is
+    ||L_N' (m_N - m_V)||^2, and the log-determinants are sums of
+    log diag L."""
     omega_full = np.asarray(sample_polya_gamma(audit_rng, data.X @ state.beta))
-    h = data.X.T @ data.kappa
-    A_full = (data.X.T * omega_full) @ data.X + B_inv
+    h = data.Xt_kappa
     rows = state.subset
-    scale = data.N / len(rows)
-    A_sub = scale * (data.X[rows].T * omega_full[rows]) @ data.X[rows] + B_inv
-    S_full = np.linalg.inv(A_full)
-    S_sub = np.linalg.inv(A_sub)
-    kl = gaussian_kl(S_sub @ h, S_sub, S_full @ h, S_full)
-    return pinsker_tv(kl)
+    Xr = data.X[rows]
+    full = _precision_factor((data.X.T * omega_full) @ data.X + B_inv)
+    sub = _precision_factor((data.N / len(rows)) * (Xr.T * omega_full[rows]) @ Xr + B_inv)
+    tr = float(np.sum(solve_triangular(sub[0], full[0], lower=True) ** 2))
+    quad = float(np.sum((full[0].T @ (cho_solve(full, h) - cho_solve(sub, h))) ** 2))
+    logdet = 2.0 * float(np.log(np.diag(sub[0])).sum() - np.log(np.diag(full[0])).sum())
+    return pinsker_tv(0.5 * (tr - data.p + quad + logdet))
 
 
 def simulate_logistic(

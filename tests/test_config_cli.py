@@ -228,6 +228,24 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "error" in err and err["subcommand"] == "bounds"
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["gp", "--steps", "0"], "steps"),
+        (["gp", "--budget-steps", "0"], "steps"),
+        (["mixture", "--K", "0"], "K"),
+        (["bounds", "--t-max", "0"], "t_max"),
+    ],
+)
+def test_cli_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["subcommand"] == argv[0]
+    assert err["error"].startswith(f"{key} must be >= ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_cli_diagnose_requires_trace(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path)]) == 2
 

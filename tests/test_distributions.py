@@ -1,4 +1,4 @@
-"""Seeded variate primitives, including the truncated Polya-Gamma sampler."""
+"""Seeded variate primitives, including the Polya-Gamma sampler."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from amcmc import _kernels
 from amcmc.distributions import (
-    PG_TRUNCATION,
     SeededRng,
     polya_gamma_mean,
     sample_dirichlet,
@@ -19,7 +18,6 @@ from amcmc.distributions import (
     sample_mvn,
     sample_polya_gamma,
 )
-from amcmc.distributions import _pg_truncated_mean
 
 
 def test_rng_reproducible_and_stream_separated():
@@ -41,6 +39,16 @@ def test_rng_rejects_negative_identity():
         SeededRng(-1)
     with pytest.raises(ValueError):
         SeededRng(0, -2)
+
+
+def test_rng_streams_do_not_alias_seeds():
+    """Streams occupy the low 16 bits of the Philox key, so a stream of
+    2**16 or more would reproduce another seed's stream."""
+    with pytest.raises(ValueError):
+        SeededRng(0, 65536)
+    with pytest.raises(ValueError):
+        SeededRng(0).spawn(2**16)
+    assert not np.array_equal(SeededRng(0, 65535).normal(size=5), SeededRng(1, 0).normal(size=5))
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +159,55 @@ def test_pg_mean_function():
     assert polya_gamma_mean(2.0) == pytest.approx(math.tanh(1.0) / 4.0)
 
 
-def test_pg_series_mean_identity():
-    """The infinite series' mean telescopes to tanh(c/2)/(2c); the retained
-    part plus the analytic tail must reproduce it exactly."""
+def _pg_series_weights(c: float, terms: int) -> np.ndarray:
+    """Weights d_k of PG(1, c) = sum_k d_k g_k with g_k ~ Exp(1) iid."""
+    k = np.arange(1, terms + 1, dtype=np.float64)
+    return 1.0 / (2.0 * np.pi**2 * ((k - 0.5) ** 2 + c * c / (4.0 * np.pi**2)))
+
+
+def test_pg_variance_closed_form():
+    """Var PG(1, c) = (sinh c - c) / (4 c^3 cosh^2(c/2)), 1/24 at c = 0.
+    The tolerance is 5 standard errors of the sample variance, from the
+    series cumulants kappa_2 = sum d_k^2 and kappa_4 = 6 sum d_k^4."""
+    n = 200_000
     for c in (0.0, 0.5, 2.0, 10.0):
-        trunc = float(_pg_truncated_mean(np.array([c]))[0])
-        # tail of sum 1/((k-1/2)^2 + c^2/4pi^2): compare against a much
-        # longer partial sum
-        k = np.arange(1, 2_000_001, dtype=np.float64)
-        full = float(
-            (1.0 / ((k - 0.5) ** 2 + c * c / (4 * np.pi**2))).sum() / (2 * np.pi**2)
-        )
-        assert trunc < full <= polya_gamma_mean(c) + 1e-7
-        assert polya_gamma_mean(c) == pytest.approx(full, abs=1e-6)
+        want = 1.0 / 24.0 if c == 0.0 else (math.sinh(c) - c) / (4.0 * c**3 * math.cosh(c / 2.0) ** 2)
+        d = _pg_series_weights(c, 100_000)
+        k2, k4 = (d**2).sum(), 6.0 * (d**4).sum()
+        assert k2 == pytest.approx(want, rel=1e-4)
+        tol = 5.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
+        draws = sample_polya_gamma(SeededRng(15, int(c)), np.full(n, c))
+        assert abs(draws.var() - want) < tol, (c, draws.var(), want, tol)
+
+
+def test_pg_matches_long_series_in_law():
+    """Two-sample KS against draws of the series truncated at 2000 terms,
+    with the analytic mean of the dropped tail added back."""
+    ref_rng = np.random.default_rng(16)
+    for c in (0.0, 1.5, 8.0):
+        d = _pg_series_weights(c, 2000)
+        ref = np.concatenate([ref_rng.exponential(size=(1000, 2000)) @ d for _ in range(10)])
+        ref += polya_gamma_mean(c) - d.sum()
+        draws = sample_polya_gamma(SeededRng(16, int(c)), np.full(10_000, c))
+        assert stats.ks_2samp(draws, ref).pvalue > 1e-3, c
+
+
+def test_pg_depends_on_tilt_magnitude_only():
+    c = np.linspace(-40.0, 40.0, 801)
+    assert np.array_equal(sample_polya_gamma(SeededRng(17), c), sample_polya_gamma(SeededRng(17), -c))
+
+
+def test_pg_rejects_nonfinite_tilt():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sample_polya_gamma(SeededRng(18), np.array([1.0, bad]))
 
 
 def test_pg_draws_positive_and_reproducible():
-    rng = SeededRng(9)
-    draws = sample_polya_gamma(rng, np.zeros(1000))
+    c = np.concatenate([np.zeros(1000), np.geomspace(1e-3, 500.0, 1000)])
+    draws = sample_polya_gamma(SeededRng(9), c)
     assert np.all(draws > 0.0)
-    again = sample_polya_gamma(SeededRng(9), np.zeros(1000))
+    again = sample_polya_gamma(SeededRng(9), c)
     assert np.array_equal(draws, again)
 
 
@@ -192,11 +229,3 @@ def test_pg_mean_decreasing_in_tilt():
     means = [sample_polya_gamma(rng, np.full(20000, c)).mean() for c in (0.0, 1.0, 3.0)]
     assert means[0] > means[1] > means[2]
 
-
-def test_pg_series_kernel_paths_agree():
-    rng = np.random.default_rng(0)
-    g = rng.exponential(size=(64, PG_TRUNCATION))
-    c = rng.uniform(0, 5, size=64)
-    a = _kernels.pg_series_numpy(g, c)
-    b = _kernels.pg_series(g, c)
-    assert a == pytest.approx(b, abs=1e-12)

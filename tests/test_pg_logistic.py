@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from amcmc.distributions import SeededRng
+from amcmc.distributions import SeededRng, sample_polya_gamma
 from amcmc.pg_logistic import (
+    _audit_tv,
     ChainResult,
     LogisticData,
     PGState,
@@ -166,6 +167,26 @@ def test_run_chain_audit_plumbing():
         run_chain(
             SeededRng(8), data, b, B, steps=5, policy=policy, audit_every=2
         )
+
+
+def test_audit_tv_matches_dense_covariance_kl():
+    """The Cholesky-form audit against KL between the two beta conditionals
+    built from explicit covariance inverses and the same audit draw."""
+    data, _ = simulate_logistic(SeededRng(15), 300, 4)
+    b, B = _prior(4)
+    B_inv = np.linalg.inv(B)
+    rows = np.sort(SeededRng(16).permutation(data.N)[:250])
+    state = PGState(np.array([0.5, -1.0, 0.2, 1.5]), np.full(250, 0.25), rows)
+    got = _audit_tv(SeededRng(17), state, data, B_inv)
+
+    omega = sample_polya_gamma(SeededRng(17), data.X @ state.beta)
+    h = data.X.T @ data.kappa
+    S_full = np.linalg.inv((data.X.T * omega) @ data.X + B_inv)
+    Xr = data.X[rows]
+    S_sub = np.linalg.inv(data.N / 250 * (Xr.T * omega[rows]) @ Xr + B_inv)
+    want = pinsker_tv(gaussian_kl(S_sub @ h, S_sub, S_full @ h, S_full))
+    assert 0.0 < want < 1.0
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_audit_does_not_perturb_chain():
