@@ -298,6 +298,8 @@ def run_mixture_experiment(cfg: dict) -> dict:
         rng_sim, cfg["p"], cfg["d"], cfg["K"], cfg["N"], priors
     )
     top = sorted(data.cells, key=lambda c: (-data.cells[c], c))[: cfg["top_cells"]]
+    top_index = np.array(top, dtype=np.int64).reshape(len(top), cfg["p"])
+    variables = np.arange(cfg["p"])
 
     def run(n_min: float, stream: int) -> np.ndarray:
         rng = SeededRng(cfg["seed"], stream=stream)
@@ -324,9 +326,11 @@ def run_mixture_experiment(cfg: dict) -> dict:
             else:
                 state = mix.gibbs_step_approx(rng, state, cur, priors, n_min)
             if i >= cfg["burn_in"]:
-                rows[i - cfg["burn_in"]] = [
-                    mix.cell_probability(state.nu, state.lam, c) for c in top
-                ]
+                # pi on the top cells: nu times lambda^(j) for j = 0, ..., p-1
+                # in turn, the order of cell_probability, then summed over h
+                factors = state.lam[variables, :, top_index]  # (top, p, K)
+                nu = np.broadcast_to(state.nu, (len(top), 1, len(state.nu)))
+                rows[i - cfg["burn_in"]] = np.concatenate([nu, factors], axis=1).prod(axis=1).sum(axis=1)
         return rows
 
     exact = run(math.inf, stream=1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import _kernels
 
@@ -99,7 +99,7 @@ def phi_max(trace: Trace, k_max: int = 20) -> PhiMaxReport:
     """
     if k_max < 1 or k_max > trace.t // 10:
         raise ValueError("require 1 <= k_max <= t / 10")
-    threshold = float(norm.ppf(0.95 ** (1.0 / k_max))) / np.sqrt(trace.t - k_max)
+    threshold = float(ndtri(0.95 ** (1.0 / k_max))) / np.sqrt(trace.t - k_max)
     best = None
     retained: list[tuple[int, int, float]] = []
     excluded: list[int] = []

@@ -54,49 +54,53 @@ class SeededRng:
     def exponential(self, size=None):
         return self._gen.standard_exponential(size=size)
 
-    def binomial(self, n: int, p: float) -> int:
-        return int(self._gen.binomial(n, p))
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
 
 def sample_dirichlet(rng: SeededRng, concentration) -> np.ndarray:
-    """Dirichlet draw via normalized Gamma variates."""
+    """Dirichlet draw via normalized Gamma variates; an array of
+    concentrations draws one vector along its last axis per leading index,
+    with the variates a loop over the rows in C order would consume."""
     conc = np.asarray(concentration, dtype=np.float64)
     if np.any(conc <= 0.0):
         raise ValueError("Dirichlet concentrations must be positive")
-    g = rng._gen.gamma(conc)
+    gen = rng._gen
+    if conc.ndim > 1:
+        state = gen.bit_generator.state
+        g = gen.gamma(conc)
+        total = g.sum(axis=-1, keepdims=True)
+        if not (total == 0.0).any():
+            return g / total
+        # a row underflowed: replay the rows one at a time so its fallback
+        # draw comes where the loop would take it
+        gen.bit_generator.state = state
+        rows = [sample_dirichlet(rng, row) for row in conc.reshape(-1, conc.shape[-1])]
+        return np.array(rows).reshape(conc.shape)
+    g = gen.gamma(conc)
     total = g.sum()
     if total == 0.0:
         # all-tiny concentrations can underflow; fall back to the argmax
         # convention (a draw concentrated on one coordinate)
         out = np.zeros_like(conc)
-        out[int(rng._gen.integers(len(conc)))] = 1.0
+        out[int(gen.integers(len(conc)))] = 1.0
         return out
     return g / total
 
 
 def sample_multinomial(rng: SeededRng, n: int, probs) -> np.ndarray:
-    """Multinomial counts by sequential binomial decomposition."""
+    """Multinomial counts; numpy draws them by sequential binomial
+    decomposition, one binomial per category in order."""
     p = np.asarray(probs, dtype=np.float64)
     if n < 0:
         raise ValueError("n must be >= 0")
     if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probs must be a probability vector")
-    counts = np.zeros(len(p), dtype=np.int64)
-    remaining = n
-    rem_mass = 1.0
-    for k in range(len(p) - 1):
-        if remaining == 0:
-            break
-        q = p[k] / rem_mass if rem_mass > 0.0 else 1.0
-        c = rng.binomial(remaining, min(max(q, 0.0), 1.0))
-        counts[k] = c
-        remaining -= c
-        rem_mass -= p[k]
-    counts[-1] += remaining
-    return counts
+    if p[:-1].sum() > 1.0 + 1e-12:
+        # numpy rejects leading probabilities that sum past 1 + 1e-12;
+        # within the tolerance above, take the renormalized vector
+        p = p / p.sum()
+    return rng._gen.multinomial(n, p)
 
 
 def sample_mvn(rng: SeededRng, mean, covariance) -> np.ndarray:

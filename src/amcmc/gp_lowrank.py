@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .distributions import SeededRng, sample_discrete
 
@@ -132,8 +132,8 @@ def randomized_partial_eig(
     # certify against delta/2 so the Nystrom reconstruction keeps slack
     target2 = (delta / 2.0) ** 2
     # mean of n_probes one-probe estimators; worst-case (rank-1 residual)
-    # lower tail is chi2(n_probes)/n_probes
-    safety = n_probes / chi2.ppf(10.0 ** (-d_prob), df=n_probes)
+    # lower tail is chi2(n_probes)/n_probes; its quantile is 2 P^-1(k/2, q)
+    safety = n_probes / (2 * gammaincinv(n_probes / 2, 10.0 ** (-d_prob)))
 
     Q = np.empty((n, 0))
     full_rank = False
@@ -384,6 +384,8 @@ class GPSampler:
         init: GPState | None = None,
         collect_predictive: bool = False,
     ) -> dict:
+        if steps < 1 or burn_in < 0:
+            raise ValueError(f"need steps >= 1 and burn_in >= 0, got {steps} and {burn_in}")
         state = init or GPState(1.0, 1.0, len(self.factors) // 2)
         scale = self.prop_scale
         n_accept = 0

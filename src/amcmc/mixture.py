@@ -9,21 +9,33 @@ then conjugate Dirichlet updates for lambda and nu.
 
 The approximate sweep replaces each multinomial draw by a rounded Gaussian
 on the high-expected-count classes H = {h : n(c) nu~_h > n_min} and an
-exact multinomial on the complement, which is cheaper when a few classes
-dominate a large cell.  ``tv_multinomial_vs_rounded_gaussian`` measures the
-exact per-draw TV cost of that substitution at enumerable sizes.
+exact multinomial on the complement.  ``tv_multinomial_vs_rounded_gaussian``
+measures the exact per-draw TV cost of that substitution at enumerable
+sizes.
+
+Both sweeps work on the whole table at once: class probabilities as one
+(cells x K) array, the exact cells' multinomials in as few numpy calls as
+the Gaussian cells between them allow, and one Gamma draw for every lambda
+row.  A seeded sweep consumes the variates of a loop over the cells in
+sorted order.  The Gaussian draw saves no work here: numpy's binomial
+sampler costs O(1) per class whatever n(c), while each Gaussian cell needs
+its own draw in cell order.  On the benchmark's mixture table (215 cells,
+K = 3, 44 of them Gaussian at n_min = 50) the approximate sweep runs at
+about a quarter of the exact sweep's rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.stats import multinomial as sp_multinomial
-from scipy.stats import norm
+from scipy.special import gammaln, ndtr, xlogy
 
-from .distributions import SeededRng, sample_dirichlet, sample_multinomial, sample_mvn
+# sample_multinomial and sample_mvn stay importable from this module: the
+# benchmark's tracer (perfbench/workloads.py) wraps them by these names
+from .distributions import SeededRng, sample_dirichlet, sample_multinomial, sample_mvn  # noqa: F401
 
 __all__ = [
     "ContingencyData",
@@ -45,19 +57,32 @@ Cell = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ContingencyData:
-    """Sparse contingency table: only occupied cells are stored."""
+    """Sparse contingency table: only occupied cells are stored.
+
+    ``index`` (cells x p) and ``counts`` hold the occupied cells in sorted
+    order as arrays; the sweeps work on them."""
 
     cells: dict[Cell, int]
     p: int
     d: int
     K: int
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: list[Cell] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for c, n in self.cells.items():
-            if len(c) != self.p or any(not 0 <= cj < self.d for cj in c):
-                raise ValueError(f"bad cell index {c}")
-            if n <= 0:
-                raise ValueError("cell counts must be positive")
+        keys = sorted(self.cells)
+        if keys and set(map(len, keys)) != {self.p}:
+            raise ValueError(f"every cell index needs p = {self.p} entries")
+        index = np.fromiter(chain.from_iterable(keys), np.float64, len(keys) * self.p)
+        counts = np.fromiter(map(self.cells.__getitem__, keys), np.float64, len(keys))
+        if np.any((index < 0) | (index >= self.d) | (index != np.rint(index))):
+            raise ValueError(f"cell indices must be integers in [0, {self.d})")
+        if np.any((counts <= 0) | (counts != np.rint(counts))):
+            raise ValueError("cell counts must be positive integers")
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "index", index.astype(np.int64).reshape(len(keys), self.p))
+        object.__setattr__(self, "counts", counts.astype(np.int64))
 
     @property
     def n_cells(self) -> int:
@@ -65,10 +90,10 @@ class ContingencyData:
 
     @property
     def total(self) -> int:
-        return sum(self.cells.values())
+        return int(self.counts.sum())
 
     def ordered_cells(self) -> list[Cell]:
-        return sorted(self.cells)
+        return list(self._keys)
 
 
 @dataclass(frozen=True)
@@ -90,61 +115,68 @@ class MixtureState:
     Z: dict[Cell, np.ndarray]  # per-cell class counts, sum to n(c)
 
 
-def latent_class_probs(state: MixtureState, cell: Cell) -> np.ndarray:
-    """Class-membership probabilities for one cell, computed in log space
-    with a max shift before normalizing."""
+def _class_probs(state: MixtureState, index: np.ndarray) -> np.ndarray:
+    """Class-membership probabilities of the cells in ``index`` (cells x p),
+    one row per cell, computed in log space with a max shift per row before
+    normalizing."""
     with np.errstate(divide="ignore"):
-        logw = np.log(state.nu).copy()
-        for j, cj in enumerate(cell):
-            logw += np.log(state.lam[j, :, cj])
-    logw -= logw.max()
+        log_nu = np.log(state.nu)
+        log_lam = np.log(state.lam)
+    logw = np.repeat(log_nu[None, :], len(index), axis=0)
+    for j in range(index.shape[1]):
+        logw += log_lam[j][:, index[:, j]].T
+    logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    return w / w.sum()
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def latent_class_probs(state: MixtureState, cell: Cell) -> np.ndarray:
+    """Class-membership probabilities for one cell."""
+    return _class_probs(state, np.array([cell], dtype=np.int64))[0]
 
 
 def init_state(rng: SeededRng, data: ContingencyData, priors: MixturePriors) -> MixtureState:
     """Prior draw of (nu, lambda) plus a deterministic Z filling."""
     K, p, d = data.K, data.p, data.d
     nu = sample_dirichlet(rng, np.full(K, priors.alpha))
-    lam = np.empty((p, K, d))
-    for j in range(p):
-        for h in range(K):
-            lam[j, h] = sample_dirichlet(rng, np.full(d, priors.a))
-    Z = {}
-    for c in data.ordered_cells():
-        z = np.zeros(K, dtype=np.int64)
-        z[0] = data.cells[c]
-        Z[c] = z
-    return MixtureState(nu, lam, Z)
+    lam = sample_dirichlet(rng, np.full((p, K, d), priors.a))
+    Z = np.zeros((data.n_cells, K), dtype=np.int64)
+    Z[:, 0] = data.counts
+    return MixtureState(nu, lam, dict(zip(data._keys, Z)))
 
 
 def _conjugate_updates(
-    rng: SeededRng, data: ContingencyData, priors: MixturePriors, Z: dict[Cell, np.ndarray]
+    rng: SeededRng, data: ContingencyData, priors: MixturePriors, Z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    K, p, d = data.K, data.p, data.d
-    lam = np.empty((p, K, d))
-    class_tot = np.zeros(K)
-    margins = np.zeros((p, K, d))
-    for c, z in Z.items():
-        class_tot += z
-        for j in range(p):
-            margins[j, :, c[j]] += z
-    for j in range(p):
-        for h in range(K):
-            lam[j, h] = sample_dirichlet(rng, priors.a + margins[j, h])
-    nu = sample_dirichlet(rng, priors.alpha + class_tot)
+    """lambda and nu given the allocations Z (cells x K) of ``data``."""
+    # margins[j, h, c] sums Z[:, h] over the cells with c_j = c; the sums
+    # are of integers, so exact in any order
+    margins = np.array([
+        [np.bincount(data.index[:, j], Z[:, h], minlength=data.d) for h in range(data.K)]
+        for j in range(data.p)
+    ])
+    lam = sample_dirichlet(rng, priors.a + margins)
+    nu = sample_dirichlet(rng, priors.alpha + Z.sum(axis=0))
     return nu, lam
+
+
+def _sweep(
+    rng: SeededRng,
+    state: MixtureState,
+    data: ContingencyData,
+    priors: MixturePriors,
+    n_min: float,
+) -> MixtureState:
+    Z = _allocate(rng, data.counts, _class_probs(state, data.index), n_min)
+    nu, lam = _conjugate_updates(rng, data, priors, Z)
+    return MixtureState(nu, lam, dict(zip(data._keys, Z)))
 
 
 def gibbs_step_exact(
     rng: SeededRng, state: MixtureState, data: ContingencyData, priors: MixturePriors
 ) -> MixtureState:
     """One full sweep of the three conditionals: Z, then lambda, then nu."""
-    Z = {}
-    for c in data.ordered_cells():
-        Z[c] = sample_multinomial(rng, data.cells[c], latent_class_probs(state, c))
-    nu, lam = _conjugate_updates(rng, data, priors, Z)
-    return MixtureState(nu, lam, Z)
+    return _sweep(rng, state, data, priors, math.inf)
 
 
 def gibbs_step_approx(
@@ -155,13 +187,9 @@ def gibbs_step_approx(
     n_min: float,
 ) -> MixtureState:
     """Like the exact sweep, with rounded-Gaussian allocation draws."""
-    Z = {}
-    for c in data.ordered_cells():
-        Z[c] = approx_multinomial_draw(
-            rng, data.cells[c], latent_class_probs(state, c), n_min
-        )
-    nu, lam = _conjugate_updates(rng, data, priors, Z)
-    return MixtureState(nu, lam, Z)
+    if n_min < 0.0:
+        raise ValueError("n_min must be >= 0")
+    return _sweep(rng, state, data, priors, n_min)
 
 
 def approx_multinomial_draw(
@@ -178,14 +206,81 @@ def approx_multinomial_draw(
     if n_min < 0.0:
         raise ValueError("n_min must be >= 0")
     nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
-    K = len(nu_tilde)
-    H = np.where(n_c * nu_tilde > n_min)[0]
-    if len(H) == 0:
-        return sample_multinomial(rng, n_c, nu_tilde)
+    return _allocate(rng, np.array([n_c], dtype=np.int64), nu_tilde[None, :], n_min)[0]
 
-    nu_h = nu_tilde[H]
-    cov = n_c * (np.diag(nu_h) - np.outer(nu_h, nu_h))
-    w = sample_mvn(rng, n_c * nu_h, cov)
+
+def _allocate(
+    rng: SeededRng, counts: np.ndarray, probs: np.ndarray, n_min: float
+) -> np.ndarray:
+    """Allocation draws (cells x K) for cells with counts n(c) and class
+    probabilities nu~(c), in cell order.  A cell with a class whose
+    expected count exceeds ``n_min`` takes the thresholded Gaussian draw;
+    the runs of cells between them take exact multinomials."""
+    gen = rng._gen
+
+    def exact(run: slice) -> None:
+        # a 2-D call costs about as much as five 1-D calls, whatever its
+        # length; both draw the rows in order with the same variates
+        if run.stop - run.start > 4:
+            Z[run] = gen.multinomial(counts[run], probs[run])
+        else:
+            for i in range(run.start, run.stop):
+                Z[i] = gen.multinomial(counts[i], probs[i])
+
+    H = counts[:, None] * probs > n_min
+    gauss = np.flatnonzero(H.any(axis=1))
+    Z = np.empty(probs.shape, dtype=np.int64)
+    start = 0
+    for i, (mean, root) in zip(gauss, _gaussian_factors(counts[gauss], probs[gauss], H[gauss])):
+        exact(slice(start, i))
+        Z[i] = _gaussian_draw(gen, int(counts[i]), probs[i], H[i], mean, root)
+        start = i + 1
+    exact(slice(start, len(counts)))
+    return Z
+
+
+def _gaussian_factors(
+    counts: np.ndarray, probs: np.ndarray, H: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mean n nu_H and a root of the covariance n (diag nu_H - nu_H nu_H')
+    of each cell's Gaussian classes H: the Cholesky factor, found for all
+    cells with the same |H| in one call, or where it fails (the covariance
+    is singular when H holds every class) the symmetric root from eigh."""
+    factors: list = [None] * len(counts)
+    sizes = H.sum(axis=1)
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        n = counts[rows, None]
+        nu_h = probs[rows][H[rows]].reshape(len(rows), m)
+        cov = n[:, :, None] * (nu_h[:, :, None] * np.eye(m) - nu_h[:, :, None] * nu_h[:, None, :])
+        try:
+            roots = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            roots = [_root(c) for c in cov]
+        for k, r in enumerate(rows):
+            factors[r] = (n[k] * nu_h[k], roots[k])
+    return factors
+
+
+def _root(cov: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(cov)
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _gaussian_draw(
+    gen: np.random.Generator,
+    n_c: int,
+    nu_tilde: np.ndarray,
+    in_H: np.ndarray,
+    mean: np.ndarray,
+    root: np.ndarray,
+) -> np.ndarray:
+    """Rounded N(mean, root root') on the classes H (``in_H``), exact
+    multinomial on the leftover count over the complement."""
+    w = mean + root @ gen.standard_normal(size=len(mean))
     z_h = np.rint(w).astype(np.int64)
     np.maximum(z_h, 0, out=z_h)
     # trim any excess over n_c from the largest entries
@@ -196,21 +291,21 @@ def approx_multinomial_draw(
         z_h[i] -= take
         excess -= take
 
-    z = np.zeros(K, dtype=np.int64)
-    z[H] = z_h
+    z = np.zeros(len(nu_tilde), dtype=np.int64)
+    z[in_H] = z_h
     remainder = n_c - int(z_h.sum())
-    comp = np.setdiff1d(np.arange(K), H)
     if remainder > 0:
+        comp = np.flatnonzero(~in_H)
         if len(comp) > 0:
             mass = nu_tilde[comp].sum()
             if mass > 0.0:
-                z[comp] = sample_multinomial(rng, remainder, nu_tilde[comp] / mass)
+                z[comp] = gen.multinomial(remainder, nu_tilde[comp] / mass)
             else:
                 z[comp[0]] += remainder
         else:
             # every class was Gaussian and the rounded sum fell short:
             # assign the deficit to the most probable class
-            z[H[int(np.argmax(nu_h))]] += remainder
+            z[int(np.argmax(nu_tilde))] += remainder
     return z
 
 
@@ -221,9 +316,23 @@ def approx_multinomial_draw(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+def _norm_pdf(x: np.ndarray) -> np.ndarray:
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
+def _multinomial_pmf(x: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """Multinomial(n, p) pmf at the rows of x.  As in scipy.stats, the last
+    probability is replaced by one minus the others only when p misses the
+    simplex by more than 10 eps."""
+    p = np.array(p, dtype=np.float64)
+    if abs(1.0 - p.sum()) > 10 * np.finfo(np.float64).eps:
+        p[-1] = 1.0 - p[:-1].sum()
+    return np.exp(gammaln(n + 1) + np.sum(xlogy(x, p) - gammaln(x + 1), axis=-1))
+
+
 def _cell_prob_1d(mean: float, sd: float, z: np.ndarray) -> np.ndarray:
     """P(W in [z - 1/2, z + 1/2]) for scalar Gaussian W."""
-    return norm.cdf((z + 0.5 - mean) / sd) - norm.cdf((z - 0.5 - mean) / sd)
+    return ndtr((z + 0.5 - mean) / sd) - ndtr((z - 0.5 - mean) / sd)
 
 
 def _cell_prob_2d(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -235,11 +344,11 @@ def _cell_prob_2d(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarra
     s2_cond = math.sqrt(max(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0], 1e-300))
     # nodes mapped into [z1 - 1/2, z1 + 1/2]
     w1 = z[:, 0, None] + 0.5 * _GL_NODES[None, :]
-    dens = norm.pdf((w1 - mean[0]) / s1) / s1
+    dens = _norm_pdf((w1 - mean[0]) / s1) / s1
     cmean = mean[1] + beta * (w1 - mean[0])
     upper = (z[:, 1, None] + 0.5 - cmean) / s2_cond
     lower = (z[:, 1, None] - 0.5 - cmean) / s2_cond
-    inner = norm.cdf(upper) - norm.cdf(lower)
+    inner = ndtr(upper) - ndtr(lower)
     return 0.5 * (_GL_WEIGHTS[None, :] * dens * inner).sum(axis=1)
 
 
@@ -285,7 +394,7 @@ def tv_multinomial_vs_rounded_gaussian(n: int, probs) -> float:
     mult = np.zeros(len(grid))
     if valid.any():
         counts = np.column_stack([grid[valid], last[valid]])
-        mult[valid] = sp_multinomial.pmf(counts, n, probs)
+        mult[valid] = _multinomial_pmf(counts, n, probs)
 
     # mass the Gaussian puts outside the enumerated region
     leak = max(0.0, 1.0 - float(gauss.sum()))
@@ -360,10 +469,7 @@ def simulate_contingency(
     if p * math.log(d) > 64 * math.log(2):
         raise ValueError("cell index space too large to enumerate safely")
     nu = sample_dirichlet(rng, np.full(K, priors.alpha))
-    lam = np.empty((p, K, d))
-    for j in range(p):
-        for h in range(K):
-            lam[j, h] = sample_dirichlet(rng, np.full(d, priors.a))
+    lam = sample_dirichlet(rng, np.full((p, K, d), priors.a))
 
     cells: dict[Cell, int] = {}
     if N > 0:

@@ -1,6 +1,10 @@
 """Config plumbing and the CLI subcommands end to end."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,3 +285,40 @@ def test_cli_stochastic_reruns_identical(tmp_path):
     main(args + ["--out", str(b)])
     for name in ("mixture_cells.csv", "mixture_trace_exact.csv", "mixture_trace_approx.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` in a new interpreter that imports this
+    checkout's ``amcmc``."""
+    import amcmc
+
+    env = dict(os.environ)
+    root = str(Path(amcmc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_cli_mixture_byte_identical_across_processes(tmp_path):
+    """Two separate processes with the same seed and config write the same
+    bytes to every artifact, the manifest included."""
+    args = ["mixture", "--seed", "9", "--p", "3", "--d", "4", "--N", "3000", "--n-min", "20",
+            "--steps", "20", "--burn-in", "10", "--top-cells", "6"]
+    code = "import sys; from amcmc.cli import main; sys.exit(main(sys.argv[1:]))"
+    digests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        proc = _fresh_python(code, *args, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        digests.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())})
+    assert len(digests[0]) == 5  # three CSVs, the summary and the manifest
+    assert digests[0] == digests[1]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """scipy.stats took about half of ``import amcmc.cli``; nothing on the
+    import path may bring it back."""
+    proc = _fresh_python("import sys, amcmc.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

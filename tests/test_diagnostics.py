@@ -89,6 +89,16 @@ def test_phi_max_threshold_formula():
     assert rep.threshold == pytest.approx(expected, abs=1e-12)
 
 
+def test_phi_max_quantile_equals_scipy_stats_norm_ppf():
+    """The threshold's quantile comes from scipy.special.ndtri, which must
+    give norm.ppf's bits on every level phi_max can ask for."""
+    from scipy.special import ndtri
+    from scipy.stats import norm
+
+    levels = np.concatenate([0.95 ** (1.0 / np.arange(1, 201)), np.linspace(0.0, 1.0, 101)])
+    assert np.array_equal(ndtri(levels), norm.ppf(levels))
+
+
 # ---------------------------------------------------------------------------
 # kernel distance
 # ---------------------------------------------------------------------------

@@ -203,6 +203,27 @@ def test_sampler_run_reproducible():
     assert np.all(r1["trace"][:, :2] > 0.0)
 
 
+def test_sampler_run_rejects_empty_or_negative_budgets():
+    s = _toy_sampler(14)
+    for steps, burn_in in ((0, 20), (-1, 20), (10, -1)):
+        rng = SeededRng(15)
+        with pytest.raises(ValueError, match="steps >= 1"):
+            s.run(rng, steps=steps, burn_in=burn_in)
+        assert rng.normal() == SeededRng(15).normal()  # nothing drawn
+
+
+def test_probe_safety_quantile_equals_scipy_stats_chi2_ppf():
+    """randomized_partial_eig takes the chi2 quantile as 2 P^-1(k/2, q);
+    it must give chi2.ppf's bits (chdtri does not) over the probe counts
+    and failure levels it can see."""
+    from scipy.special import gammaincinv
+    from scipy.stats import chi2
+
+    for df in range(1, 41):
+        q = 10.0 ** -np.linspace(0.5, 12.0, 24)
+        assert np.array_equal(2 * gammaincinv(df / 2, q), chi2.ppf(q, df=df))
+
+
 def test_mh_griddy_step_returns_valid_state():
     s = _toy_sampler(16)
     state = GPState(1.0, 1.0, 2)
