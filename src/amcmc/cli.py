@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +28,14 @@ from .config import resolve_config, parse_config_file, write_csv, write_manifest
 from .distributions import SeededRng
 
 # ---------------------------------------------------------------------------
-# subcommand schemas: key -> (type, default)
+# subcommands: name -> (schema, handler); a schema maps key -> (type, default)
 # ---------------------------------------------------------------------------
 
-SCHEMAS = {
-    "bounds": {
+#: Every subcommand's config schema and the name of its handler, a function of
+#: this module called as ``handler(cfg, out)``.  The handler is looked up by
+#: name when it runs, so a replaced module attribute is the one called.
+COMMANDS = {
+    "bounds": ({
         "alpha": (float, 0.1),
         "epsilon": (float, 0.01),
         "tv0": (float, 1.0),
@@ -41,12 +43,12 @@ SCHEMAS = {
         "fstar": (float, 1.0),
         "t_max": (int, 10**5),
         "t_points": (int, 50),
-    },
-    "mixtimes": {
+    }, "cmd_bounds"),
+    "mixtimes": ({
         "alphas": (list, [0.1, 1e-4]),
         "deltas": (list, [1e-2, 1e-4]),
-    },
-    "compminimax": {
+    }, "cmd_mixtimes"),
+    "compminimax": ({
         "discrepancy": (str, "tv"),
         "alpha": (float, 0.1),
         "forms": (str, "logarithmic,linear,quadratic,exponential"),
@@ -57,9 +59,9 @@ SCHEMAS = {
         "tv0_eps": (float, 1.0),
         "fstar": (float, 1.0),
         "grid_size": (int, 2000),
-    },
-    "verify-finite": {},
-    "mixture": {
+    }, "cmd_compminimax"),
+    "verify-finite": ({}, "cmd_verify_finite"),
+    "mixture": ({
         "seed": (int, 0),
         "p": (int, 2),
         "d": (int, 10),
@@ -72,8 +74,8 @@ SCHEMAS = {
         "prior_alpha": (float, 1.0),
         "prior_a": (float, 1.0),
         "data_ramp": (bool, True),
-    },
-    "logistic": {
+    }, "cmd_mixture"),
+    "logistic": ({
         "seed": (int, 0),
         "N": (int, 2000),
         "p": (int, 5),
@@ -82,8 +84,8 @@ SCHEMAS = {
         "burn_in": (int, 200),
         "audit_every": (int, 10),
         "prior_var": (float, 100.0),
-    },
-    "gp": {
+    }, "cmd_logistic"),
+    "gp": ({
         "seed": (int, 0),
         "n": (int, 200),
         "q": (int, 1),
@@ -98,13 +100,13 @@ SCHEMAS = {
         "burn_in": (int, 200),
         "epsilon": (float, 0.0),  # >0: retarget delta via delta_for_epsilon
         "second_branch": (str, "appendix"),
-    },
-    "diagnose": {
+    }, "cmd_gp"),
+    "diagnose": ({
         "trace": (str, ""),
         "k_max": (int, 20),
         "first_frac": (float, 0.1),
         "last_frac": (float, 0.5),
-    },
+    }, "cmd_diagnose"),
 }
 
 
@@ -132,15 +134,50 @@ MINIMUMS = {
 }
 
 
+#: Accepted interval of each float setting (every entry of a list setting).
+#: A parenthesis excludes its end, so NaN and the infinities never pass.
+#: Budgets stop at 1e15 steps, so every path length floor(s(eps) tau) fits an
+#: int64.
+INTERVALS = {
+    "alpha": "(0, 1)",
+    "epsilon": "[0, 1]",
+    "tv0": "[0, 1]",
+    "tv0_eps": "[0, 1]",
+    "fstar": "[0, inf)",
+    "alphas": "(0, 1)",
+    "deltas": "(0, 1)",
+    "tau_min": "[1, 1e15]",
+    "tau_max": "[1, 1e15]",
+    "n_min": "[0, inf)",
+    "prior_alpha": "(0, inf)",
+    "prior_a": "(0, inf)",
+    "subset_sizes": "[1, inf)",
+    "prior_var": "(0, inf)",
+    "phi_true": "(0, inf)",
+    "sigma2_true": "(0, inf)",
+    "tau2_true": "(0, inf)",
+    "delta": "(0, inf)",
+    "first_frac": "(0, 1)",
+    "last_frac": "(0, 1)",
+}
+
+
+def _inside(value: float, interval: str) -> bool:
+    low, high = (float(v) for v in interval[1:-1].split(","))
+    above = value > low if interval[0] == "(" else value >= low
+    below = value < high if interval[-1] == ")" else value <= high
+    return above and below
+
+
 def check_ranges(cfg: dict) -> None:
     for key, low in MINIMUMS.items():
         if key in cfg and cfg[key] < low:
             raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
-
-
-def _linspace_int(t_max: int, points: int) -> list[int]:
-    ts = np.unique(np.geomspace(1, t_max, points).astype(np.int64))
-    return [int(t) for t in ts]
+    for key, interval in INTERVALS.items():
+        values = cfg.get(key, [])
+        for v in values if isinstance(values, list) else [values]:
+            if not _inside(v, interval):
+                raise ValueError(f"{key} must lie in {interval}, got {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +186,22 @@ def _linspace_int(t_max: int, points: int) -> list[int]:
 
 
 def cmd_bounds(cfg: dict, out: Path) -> int:
-    params = bnd.ErgodicityParams(cfg["alpha"], cfg["epsilon"])
-    rows = []
-    for t in _linspace_int(cfg["t_max"], cfg["t_points"]):
-        inputs = bnd.BoundInputs(t=t, tv0=cfg["tv0"], fstar=cfg["fstar"])
-        rows.append(
-            (
-                t,
-                bnd.tv_bound_exact(cfg["alpha"], inputs),
-                bnd.tv_bound_approx(params, t, cfg["tv0_eps"]),
-                bnd.l2_bound_exact(cfg["alpha"], inputs),
-                bnd.l2_bound_approx(params, t, cfg["tv0_eps"], cfg["fstar"]),
-                bnd.stationary_bias_bound(params),
-            )
-        )
+    alpha, tv0_eps, fstar = cfg["alpha"], cfg["tv0_eps"], cfg["fstar"]
+    params = bnd.ErgodicityParams(alpha, cfg["epsilon"])
+    t = np.unique(np.geomspace(1, cfg["t_max"], cfg["t_points"]).astype(np.int64))
+    inputs = bnd.BoundInputs(t=t, tv0=cfg["tv0"], fstar=fstar)
+    columns = (
+        t,
+        bnd.tv_bound_exact(alpha, inputs),
+        bnd.tv_bound_approx(params, t, tv0_eps),
+        bnd.l2_bound_exact(alpha, inputs),
+        bnd.l2_bound_approx(params, t, tv0_eps, fstar),
+        np.full(len(t), bnd.stationary_bias_bound(params)),
+    )
     write_csv(
         out / "bounds.csv",
         ("t", "tv_exact", "tv_approx", "l2_exact", "l2_approx", "stationary_bias"),
-        rows,
+        zip(*columns),
     )
     return 0
 
@@ -176,35 +211,29 @@ def cmd_mixtimes(cfg: dict, out: Path) -> int:
     for alpha in cfg["alphas"]:
         for delta in cfg["deltas"]:
             m = bnd.mixing_time_bound(alpha, delta)
+            if not math.isfinite(m):
+                raise ValueError(f"mixing time overflows at alpha={alpha}, delta={delta}")
             rows.append((alpha, delta, m, math.ceil(m)))
     write_csv(out / "mixtimes.csv", ("alpha", "delta", "mixing_time", "ceiling"), rows)
     return 0
 
 
-def cmd_compminimax(cfg: dict, out: Path, threads: int = 1) -> int:
+def cmd_compminimax(cfg: dict, out: Path) -> int:
     template = cmx.CompminimaxProblem(
         discrepancy=cfg["discrepancy"],
         alpha=cfg["alpha"],
-        tau_max=max(cfg["tau_min"], 1.0),
+        tau_max=cfg["tau_min"],
         tv0=cfg["tv0"],
         tv0_eps=cfg["tv0_eps"],
         fstar=cfg["fstar"],
         grid_size=cfg["grid_size"],
     )
-    tau_grid = list(
-        np.geomspace(max(cfg["tau_min"], 1.0), cfg["tau_max"], cfg["tau_points"])
-    )
-    forms = [f.strip() for f in cfg["forms"].split(",") if f.strip()]
+    tau_grid = list(np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"]))
     rows = []
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        futures = [
-            pool.submit(
-                cmx.curve_epsilon_vs_budget, template, cmx.SpeedupFn(f, cfg["alpha"]), tau_grid
-            )
-            for f in forms
-        ]
-        for fut in futures:
-            rows.extend(fut.result())
+    for form in (f.strip() for f in cfg["forms"].split(",")):
+        if form:
+            fn = cmx.SpeedupFn(form, cfg["alpha"])
+            rows.extend(cmx.curve_epsilon_vs_budget(template, fn, tau_grid))
     write_csv(out / "compminimax.csv", cmx.CURVE_CSV_HEADER, rows)
     return 0
 
@@ -552,15 +581,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Approximate-MCMC error bounds, samplers, and diagnostics",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SCHEMAS:
+    for name, (schema, _handler) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default="out")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         p.add_argument("--budget-steps", type=int, default=None)
         p.add_argument("--budget-seconds", type=float, default=None)
-        for key, (typ, _default) in SCHEMAS[name].items():
+        for key, (typ, _default) in schema.items():
             if key == "seed":
                 continue
             flag = "--" + key.replace("_", "-")
@@ -576,37 +605,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name = args.subcommand
+    schema, handler = COMMANDS[name]
     started = time.monotonic()
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {
-            key: getattr(args, key, None) for key in SCHEMAS[name] if key != "seed"
+            key: getattr(args, key, None) for key in schema if key != "seed"
         }
-        if "seed" in SCHEMAS[name]:
+        if "seed" in schema:
             overrides["seed"] = args.seed
-        cfg = resolve_config(SCHEMAS[name], file_values, overrides)
+        cfg = resolve_config(schema, file_values, overrides)
         if args.budget_steps is not None and "steps" in cfg:
             cfg["steps"] = min(cfg["steps"], args.budget_steps)
         check_ranges(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
-        if name == "bounds":
-            code = cmd_bounds(cfg, out)
-        elif name == "mixtimes":
-            code = cmd_mixtimes(cfg, out)
-        elif name == "compminimax":
-            code = cmd_compminimax(cfg, out, threads=args.threads)
-        elif name == "verify-finite":
-            code = cmd_verify_finite(cfg, out)
-        elif name == "mixture":
-            code = cmd_mixture(cfg, out)
-        elif name == "logistic":
-            code = cmd_logistic(cfg, out)
-        elif name == "gp":
-            code = cmd_gp(cfg, out)
-        else:
-            code = cmd_diagnose(cfg, out)
+        code = globals()[handler](cfg, out)
 
         write_manifest(out, name, cfg)
         if (

@@ -10,8 +10,7 @@ length.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -23,6 +22,7 @@ from .bounds import (
     l2_bound_exact,
     tv_bound_approx,
     tv_bound_exact,
+    _value,
 )
 
 __all__ = [
@@ -58,28 +58,30 @@ class SpeedupFn:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-    def __call__(self, eps: float) -> float:
+    def __call__(self, eps):
         return speedup_eval(self, eps)
 
 
-def speedup_eval(fn: SpeedupFn, eps: float) -> float:
-    """Evaluate s(eps).  With u = 2 eps / alpha in [0, 1]:
-    linear 1 + 99u, quadratic 1 + 99u^2, logarithmic 1 + 99 log2(1 + u),
-    exponential 100^u."""
-    if not (0.0 <= eps <= fn.alpha / 2.0):
+def speedup_eval(fn: SpeedupFn, eps):
+    """Evaluate s(eps), elementwise for an array.  With u = 2 eps / alpha
+    in [0, 1]: linear 1 + 99u, quadratic 1 + 99u^2, logarithmic
+    1 + 99 log2(1 + u), exponential 100^u."""
+    if not np.all((0.0 <= eps) & (eps <= fn.alpha / 2.0)):
         raise ValueError(
             f"eps={eps} outside the speedup domain [0, {fn.alpha / 2.0}]"
         )
-    u = 2.0 * eps / fn.alpha
+    u = 2.0 * np.asarray(eps, dtype=np.float64) / fn.alpha
     if fn.form == "linear":
-        return 1.0 + (_S_MAX - 1.0) * u
-    if fn.form == "quadratic":
-        return 1.0 + (_S_MAX - 1.0) * u * u
-    if fn.form == "logarithmic":
-        return 1.0 + (_S_MAX - 1.0) * math.log2(1.0 + u)
-    if fn.form == "exponential":
-        return _S_MAX**u
-    return 1.0  # constant
+        s = 1.0 + (_S_MAX - 1.0) * u
+    elif fn.form == "quadratic":
+        s = 1.0 + (_S_MAX - 1.0) * u * u
+    elif fn.form == "logarithmic":
+        s = 1.0 + (_S_MAX - 1.0) * np.log2(1.0 + u)
+    elif fn.form == "exponential":
+        s = np.power(_S_MAX, u)
+    else:  # constant
+        s = np.ones_like(u)
+    return _value(s)
 
 
 def _default_grid(alpha: float, n: int) -> np.ndarray:
@@ -102,29 +104,28 @@ class CompminimaxProblem:
     def __post_init__(self) -> None:
         if self.discrepancy not in ("tv", "l2"):
             raise ValueError(f"discrepancy must be 'tv' or 'l2', got {self.discrepancy!r}")
-        if self.tau_max < 1:
+        if not self.tau_max >= 1:
             raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
 
-    def bound_at(self, eps: float, t: int) -> float:
+    def bound_at(self, eps, t):
+        """The bound at error ``eps`` and path length ``t`` (broadcasting);
+        eps = 0 takes the exact chain's bound."""
+        params = ErgodicityParams(self.alpha, eps)
+        inputs = BoundInputs(t=t, tv0=self.tv0, fstar=self.fstar)
         if self.discrepancy == "tv":
-            if eps == 0.0:
-                return tv_bound_exact(self.alpha, BoundInputs(t=t, tv0=self.tv0))
-            return tv_bound_approx(
-                ErgodicityParams(self.alpha, eps), t, self.tv0_eps
-            )
-        if eps == 0.0:
-            return l2_bound_exact(
-                self.alpha, BoundInputs(t=t, tv0=self.tv0, fstar=self.fstar)
-            )
-        return l2_bound_approx(
-            ErgodicityParams(self.alpha, eps), t, self.tv0_eps, self.fstar
-        )
+            exact = tv_bound_exact(self.alpha, inputs)
+            approx = tv_bound_approx(params, t, self.tv0_eps)
+        else:
+            exact = l2_bound_exact(self.alpha, inputs)
+            approx = l2_bound_approx(params, t, self.tv0_eps, self.fstar)
+        return _value(np.where(np.asarray(eps) == 0.0, exact, approx))
 
 
-def _path_length(fn: SpeedupFn, eps: float, tau_max: float) -> int:
-    return max(1, math.floor(speedup_eval(fn, eps) * tau_max))
+def _path_length(fn: SpeedupFn, eps, tau_max: float) -> np.ndarray:
+    """floor(s(eps) * tau_max), at least 1."""
+    return np.maximum(1, np.floor(speedup_eval(fn, eps) * tau_max)).astype(np.int64)
 
 
 def epsilon_compminimax(
@@ -133,16 +134,13 @@ def epsilon_compminimax(
     """Grid-argmin of the bound over eps.
 
     Returns (eps_c, t_opt, bound_at_opt).  Ties break toward the smallest
-    eps, so the search is fully deterministic.
+    eps (the first minimum), so the search is fully deterministic.
     """
-    best_eps, best_t, best_bound = 0.0, 0, math.inf
-    for eps in _default_grid(problem.alpha, problem.grid_size):
-        eps = float(eps)
-        t = _path_length(fn, eps, problem.tau_max)
-        b = problem.bound_at(eps, t)
-        if b < best_bound:
-            best_eps, best_t, best_bound = eps, t, b
-    return best_eps, best_t, best_bound
+    grid = _default_grid(problem.alpha, problem.grid_size)
+    t = _path_length(fn, grid, problem.tau_max)
+    bound = problem.bound_at(grid, t)
+    i = int(np.argmin(bound))
+    return float(grid[i]), int(t[i]), float(bound[i])
 
 
 CURVE_CSV_HEADER = ("tau_max", "form", "alpha", "eps_c", "t_opt", "bound_at_opt")
@@ -160,15 +158,7 @@ def curve_epsilon_vs_budget(
         raise ValueError("tau_grid must be sorted ascending")
     rows = []
     for tau in taus:
-        problem = CompminimaxProblem(
-            discrepancy=problem_template.discrepancy,
-            alpha=problem_template.alpha,
-            tau_max=tau,
-            tv0=problem_template.tv0,
-            tv0_eps=problem_template.tv0_eps,
-            fstar=problem_template.fstar,
-            grid_size=problem_template.grid_size,
-        )
+        problem = replace(problem_template, tau_max=tau)
         eps_c, t_opt, bound = epsilon_compminimax(problem, fn)
         rows.append((tau, fn.form, problem.alpha, eps_c, t_opt, bound))
     return rows

@@ -25,8 +25,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from . import _kernels
-
 __all__ = [
     "Trace",
     "PhiMaxReport",
@@ -45,7 +43,6 @@ class Trace:
 
     samples: np.ndarray
     seed: int | None = None
-    step_seconds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=np.float64)
@@ -133,10 +130,19 @@ def w1_kernel_distance(
         raise ValueError("sample sets must share a dimension")
     if xs.shape[0] == 0 or ys.shape[0] == 0:
         raise ValueError("sample sets must be nonempty")
+
+    def kernel_sum(a: np.ndarray, b: np.ndarray) -> float:
+        """sum_ij exp(-phi ||a_i - b_j||^2) over all pairs."""
+        a2 = np.einsum("ij,ij->i", a, a)
+        b2 = np.einsum("ij,ij->i", b, b)
+        d2 = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
+        np.maximum(d2, 0.0, out=d2)
+        return float(np.exp(-phi * d2).sum())
+
     m, n = xs.shape[0], ys.shape[0]
-    kxx = _kernels.gauss_kernel_sum(xs, xs, phi)
-    kyy = _kernels.gauss_kernel_sum(ys, ys, phi)
-    kxy = _kernels.gauss_kernel_sum(xs, ys, phi)
+    kxx = kernel_sum(xs, xs)
+    kyy = kernel_sum(ys, ys)
+    kxy = kernel_sum(xs, ys)
     val = (kxx / (m * m) + kyy / (n * n) - 2.0 * kxy / (m * n)) / sigma
     return float(np.sqrt(max(val, 0.0)))
 

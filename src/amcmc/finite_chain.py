@@ -10,6 +10,7 @@ Caps: at most 16 states, and the ergodic-average DP runs to t <= 64.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,18 +198,21 @@ def exact_autocovariance(
 
 
 def simulate_path(rng, P: FiniteKernel, nu: FiniteMeasure, t: int) -> np.ndarray:
-    """Length-t state path, theta_0 ~ nu; uses pre-drawn uniforms so the
-    accelerated and fallback kernels consume identical randomness."""
-    from . import _kernels
-
+    """Length-t state path, theta_0 ~ nu.  Each step takes the first state
+    whose cumulative row probability exceeds one uniform draw."""
     if t < 1:
         raise ValueError("t must be >= 1")
     u0 = rng.uniform()
     start = int(np.searchsorted(np.cumsum(nu.weights), u0, side="right"))
     start = min(start, P.n_states - 1)
     uniforms = rng.uniform(size=t - 1)
-    row_cdf = np.cumsum(P.matrix, axis=1)
-    return _kernels.finite_chain_path(row_cdf, start, uniforms)
+    row_cdf = np.cumsum(P.matrix, axis=1).tolist()
+    path = [start]
+    state = start
+    for u in uniforms.tolist():
+        state = bisect.bisect_right(row_cdf[state], u)
+        path.append(state)
+    return np.array(path, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

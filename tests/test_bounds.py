@@ -168,3 +168,100 @@ def test_clamp_tv():
     assert clamp_tv(-0.5) == 0.0
     assert clamp_tv(0.5) == 0.5
     assert clamp_tv(7.0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the O(1)-memory variance factor against 50-digit arithmetic
+# ---------------------------------------------------------------------------
+
+
+def test_variance_factor_matches_mpmath():
+    """t^2 S = t + 2 r (t alpha - 1 + r^t) / alpha^2 at 50 digits, with
+    alpha taken as the exact double, on a grid across both the small- and
+    the large-alpha t regimes."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    alphas = np.concatenate([10.0 ** np.arange(-9.0, -0.2, 0.5), [0.3, 0.49, 0.5, 0.7, 0.9, 0.999]])
+    ts = np.unique(np.round(np.geomspace(1, 10**7, 36)).astype(np.int64))
+    ts = np.union1d(ts, np.arange(1, 12))
+    worst = 0.0
+    for alpha in alphas:
+        got = variance_factor(ts, alpha)
+        a = mpmath.mpf(float(alpha))
+        r = 1 - a
+        for t, g in zip(ts.tolist(), got.tolist()):
+            ref = (t + 2 * r * (t * a - 1 + r**t) / a**2) / t**2
+            worst = max(worst, float(abs((mpmath.mpf(g) - ref) / ref)))
+    assert worst <= 2e-15
+
+
+def test_variance_factor_memory_is_constant_in_t():
+    import tracemalloc
+
+    variance_factor(10, 1e-8)  # warm any lazy numpy state
+    tracemalloc.start()
+    try:
+        got = variance_factor(10**7, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert 0.0 < got <= 1.0
+
+
+def test_variance_factor_tiny_alpha_stays_finite():
+    # S -> 1 as alpha -> 0; alpha^2 underflows here, the scaled parts do not
+    for alpha in (1e-200, 5e-324):
+        assert variance_factor(np.array([1, 2, 10, 10**7]), alpha).tolist() == [1.0] * 4
+
+
+# ---------------------------------------------------------------------------
+# scalar and array calls
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_and_array_calls_agree_elementwise():
+    rng = np.random.default_rng(7)
+    alpha = rng.uniform(0.01, 0.99, 400)
+    eps = rng.uniform(0.0, 0.999, 400) * alpha / 2.0
+    t = np.round(10.0 ** rng.uniform(0.0, 7.0, 400)).astype(np.int64)
+    tv0, fstar = rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 3.0, 400)
+    params = ErgodicityParams(alpha, eps)
+    inputs = BoundInputs(t=t, tv0=tv0, fstar=fstar)
+    arrays = {
+        "variance_factor": variance_factor(t, alpha),
+        "tv_exact": tv_bound_exact(alpha, inputs),
+        "tv_approx": tv_bound_approx(params, t, tv0),
+        "l2_exact": l2_bound_exact(alpha, inputs),
+        "l2_approx": l2_bound_approx(params, t, tv0, fstar),
+        "bias": stationary_bias_bound(params),
+    }
+    for i in range(len(t)):
+        p = ErgodicityParams(float(alpha[i]), float(eps[i]))
+        b = BoundInputs(t=int(t[i]), tv0=float(tv0[i]), fstar=float(fstar[i]))
+        scalars = {
+            "variance_factor": variance_factor(int(t[i]), float(alpha[i])),
+            "tv_exact": tv_bound_exact(float(alpha[i]), b),
+            "tv_approx": tv_bound_approx(p, int(t[i]), float(tv0[i])),
+            "l2_exact": l2_bound_exact(float(alpha[i]), b),
+            "l2_approx": l2_bound_approx(p, int(t[i]), float(tv0[i]), float(fstar[i])),
+            "bias": stationary_bias_bound(p),
+        }
+        for name, value in scalars.items():
+            assert type(value) is float, name
+            assert value == arrays[name][i], (name, i)
+
+
+def test_array_validation_rejects_any_bad_entry():
+    with pytest.raises(ValueError):
+        ErgodicityParams(np.array([0.2, 1.0]))
+    with pytest.raises(ValueError):
+        ErgodicityParams(0.2, np.array([0.0, 0.1]))
+    with pytest.raises(ValueError):
+        ErgodicityParams(float("nan"))
+    with pytest.raises(ValueError):
+        BoundInputs(t=np.array([1, 0]))
+    with pytest.raises(ValueError):
+        BoundInputs(t=1, tv0=np.array([0.5, float("nan")]))
+    with pytest.raises(ValueError):
+        variance_factor(np.array([3, 2]), np.array([0.5, 0.0]))

@@ -142,3 +142,87 @@ def test_tie_break_toward_smallest_epsilon():
     # tv0 = 0 makes the exact bound 0 at eps = 0 and eps/alpha > 0 otherwise
     eps_c, _, best = epsilon_compminimax(p, SpeedupFn("constant", 0.5))
     assert eps_c == 0.0 and best == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the array argmin against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _scalar_bound(p, eps, t):
+    """The bounds one grid point at a time, in math-module arithmetic, with
+    the variance factor as the closed form for alpha t >= 1/2 and the sum
+    over off-diagonal bands below it."""
+
+    def pow_1m(a, s):
+        return math.exp(s * math.log1p(-a))
+
+    def cesaro(a, tv0):
+        return (1.0 - pow_1m(a, t)) * tv0 / (a * t)
+
+    def var(a):
+        if a * t < 0.5:
+            d = np.arange(1, t, dtype=np.float64)
+            return (t + 2.0 * float(((t - d) * np.exp(d * math.log1p(-a))).sum())) / (t * t)
+        a2t2 = a * a * t * t
+        return 2 / (a * t) + 2 / (a * t * t) + 2 * pow_1m(a, t + 1) / a2t2 - 1 / t - 2 / a2t2
+
+    alpha, a_eps, f2 = p.alpha, p.alpha - 2.0 * eps, p.fstar * p.fstar
+    if p.discrepancy == "tv":
+        return cesaro(alpha, p.tv0) if eps == 0.0 else eps / alpha + cesaro(a_eps, p.tv0_eps)
+    if eps == 0.0:
+        return 4.0 * f2 * cesaro(alpha, p.tv0) + f2 * var(alpha)
+    return (
+        4.0 * f2 * cesaro(a_eps, p.tv0_eps)
+        + f2 * var(a_eps)
+        + 8.0 * f2 * eps * (1.0 - pow_1m(a_eps, t)) / (t * alpha * a_eps)
+        + 4.0 * eps * eps * f2 / (alpha * alpha)
+    )
+
+
+def _scalar_compminimax(p, fn):
+    """The grid search as a loop: first strict improvement wins."""
+    best = (0.0, 0, math.inf)
+    for eps in np.linspace(0.0, 0.5 * p.alpha * (1.0 - 1e-9), p.grid_size).tolist():
+        u = 2.0 * eps / p.alpha
+        s = {
+            "linear": 1.0 + 99.0 * u,
+            "quadratic": 1.0 + 99.0 * u * u,
+            "logarithmic": 1.0 + 99.0 * math.log2(1.0 + u),
+            "exponential": 100.0**u,
+            "constant": 1.0,
+        }[fn.form]
+        t = max(1, math.floor(s * p.tau_max))
+        b = _scalar_bound(p, eps, t)
+        if b < best[2]:
+            best = (eps, t, b)
+    return best
+
+
+@pytest.mark.parametrize("disc", ["tv", "l2"])
+def test_array_argmin_matches_scalar_loop(disc):
+    # budgets up to 1e3 keep the loop's band sums below 10^5 terms
+    problems = [
+        CompminimaxProblem(disc, alpha, tau, tv0=0.7, tv0_eps=0.9, fstar=1.3, grid_size=300)
+        for alpha in (0.02, 0.1, 0.37)
+        for tau in np.geomspace(1.0, 1e3, 5).tolist()
+    ]
+    # ties: fstar = 0 makes every l2 bound 0, and the first grid point wins
+    problems.append(CompminimaxProblem(disc, 0.5, 1e3, tv0=0.0, tv0_eps=0.0, fstar=0.0, grid_size=50))
+    for p in problems:
+        for form in FORMS + ("constant",):
+            fn = SpeedupFn(form, p.alpha)
+            eps_c, t_opt, bound = epsilon_compminimax(p, fn)
+            ref_eps, ref_t, ref_bound = _scalar_compminimax(p, fn)
+            assert (eps_c, t_opt) == (ref_eps, ref_t), (p, form)
+            assert bound == pytest.approx(ref_bound, rel=1e-15, abs=0.0), (p, form)
+
+
+def test_speedup_and_bound_broadcast():
+    p = CompminimaxProblem("l2", 0.2, 50.0, tv0=0.4, tv0_eps=0.6)
+    eps = np.linspace(0.0, 0.0999, 7)
+    t = np.arange(1, 8) * 13
+    for form in FORMS:
+        fn = SpeedupFn(form, 0.2)
+        assert speedup_eval(fn, eps).tolist() == [speedup_eval(fn, float(e)) for e in eps]
+    assert p.bound_at(eps, t).tolist() == [p.bound_at(float(e), int(k)) for e, k in zip(eps, t)]

@@ -1,14 +1,19 @@
 """Config plumbing and the CLI subcommands end to end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcmc.cli import main
 from amcmc.config import (
@@ -250,6 +255,33 @@ def test_cli_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["compminimax", "--tau-max", "inf"], "tau_max"),
+        (["compminimax", "--tau-min", "nan"], "tau_min"),
+        (["logistic", "--prior-var", "-1"], "prior_var"),
+        (["gp", "--epsilon", "nan"], "epsilon"),
+        (["mixture", "--n-min", "nan"], "n_min"),
+        (["mixtimes", "--alphas", "0.1,inf"], "alphas"),
+    ],
+)
+def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["subcommand"] == argv[0]
+    assert err["error"].startswith(f"{key} must lie in ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_float_range_applies_to_config_files(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = nan\n")
+    assert main(["bounds", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"].startswith("alpha must lie in (0, 1)")
+
+
 def test_cli_diagnose_requires_trace(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path)]) == 2
 
@@ -322,3 +354,64 @@ def test_cli_import_does_not_load_scipy_stats():
     proc = _fresh_python("import sys, amcmc.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under arbitrary floats
+# ---------------------------------------------------------------------------
+
+ANY_FLOAT = st.one_of(st.floats(), st.floats(0.0, 1.0), st.floats(1.0, 1e6))
+FLOAT_LIST = st.lists(ANY_FLOAT, min_size=1, max_size=3)
+FUZZED = {
+    "bounds": {
+        "alpha": ANY_FLOAT,
+        "epsilon": ANY_FLOAT,
+        "tv0": ANY_FLOAT,
+        "tv0_eps": ANY_FLOAT,
+        "fstar": ANY_FLOAT,
+        "t_max": st.integers(-1, 10**9),
+        "t_points": st.integers(-1, 50),
+    },
+    "mixtimes": {"alphas": FLOAT_LIST, "deltas": FLOAT_LIST},
+    "compminimax": {
+        "discrepancy": st.sampled_from(["tv", "l2"]),
+        "alpha": ANY_FLOAT,
+        "tau_min": ANY_FLOAT,
+        "tau_max": ANY_FLOAT,
+        "tau_points": st.integers(-1, 3),
+        "tv0": ANY_FLOAT,
+        "tv0_eps": ANY_FLOAT,
+        "fstar": ANY_FLOAT,
+        "grid_size": st.integers(-1, 50),
+    },
+}
+
+
+def _argv(name: str, values: dict) -> list[str]:
+    """``--key=value`` pairs; the ``=`` form lets a value start with '-'."""
+    argv = [name]
+    for key, value in values.items():
+        if value is not None:
+            text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+            argv.append(f"--{key.replace('_', '-')}={text}")
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+def test_cli_contract_holds_for_any_floats(name):
+    """Every exit is 0, 1 or 2, every exit 2 leaves a JSON record on
+    stderr, and no input raises out of main."""
+    keys = FUZZED[name]
+
+    @given(st.fixed_dictionaries({k: st.none() | v for k, v in keys.items()}))
+    @settings(max_examples=60, deadline=None)
+    def run(values):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+            code = main(_argv(name, values) + ["--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            record = json.loads(err.getvalue().strip().splitlines()[-1])
+            assert record["subcommand"] == name and record["error"]
+
+    run()

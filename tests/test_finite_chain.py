@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcmc import _kernels
 from amcmc.bounds import BoundInputs, tv_bound_exact
 from amcmc.distributions import SeededRng
 from amcmc.finite_chain import (
@@ -233,14 +232,21 @@ def test_simulate_path_reproducible():
     assert len(p1) == 1000
 
 
-def test_simulate_path_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(5)
-    P = two_state_symmetric(0.2)
+def test_simulate_path_matches_per_step_searchsorted():
+    """Same draws, same path as a per-step ``np.searchsorted`` over the
+    cumulative rows, on a random 5-state kernel."""
+    M = np.random.default_rng(5).uniform(size=(5, 5)) + 0.01
+    P = FiniteKernel(M / M.sum(axis=1, keepdims=True))
+    nu = FiniteMeasure(np.full(5, 0.2))
+    path = simulate_path(SeededRng(8), P, nu, 2000)
+    rng = SeededRng(8)
+    state = int(np.searchsorted(np.cumsum(nu.weights), rng.uniform(), side="right"))
+    expected = [state]
     cdf = np.cumsum(P.matrix, axis=1)
-    u = rng.uniform(size=500)
-    a = _kernels.finite_chain_path_numpy(cdf, 1, u)
-    b = _kernels.finite_chain_path(cdf, 1, u)
-    assert np.array_equal(a, b)
+    for u in rng.uniform(size=1999):
+        state = int(np.searchsorted(cdf[state], u, side="right"))
+        expected.append(state)
+    assert np.array_equal(path, expected)
 
 
 def test_simulate_path_occupation_matches_stationary():
