@@ -137,13 +137,14 @@ MINIMUMS = {
 #: Accepted interval of each float setting (every entry of a list setting).
 #: A parenthesis excludes its end, so NaN and the infinities never pass.
 #: Budgets stop at 1e15 steps, so every path length floor(s(eps) tau) fits an
-#: int64.
+#: int64.  fstar stops at 1e150, so f^2 and the L2 bounds' constants (up to
+#: 8 f^2) stay finite.
 INTERVALS = {
     "alpha": "(0, 1)",
     "epsilon": "[0, 1]",
     "tv0": "[0, 1]",
     "tv0_eps": "[0, 1]",
-    "fstar": "[0, inf)",
+    "fstar": "[0, 1e150]",
     "alphas": "(0, 1)",
     "deltas": "(0, 1)",
     "tau_min": "[1, 1e15]",
@@ -330,26 +331,19 @@ def run_mixture_experiment(cfg: dict) -> dict:
     top_index = np.array(top, dtype=np.int64).reshape(len(top), cfg["p"])
     variables = np.arange(cfg["p"])
 
+    # grow the table linearly during burn-in to dodge bad modes: burn-in
+    # sweep i sees the cells in sorted order up to a tenth of the counts
+    # per ramp // 10 sweeps.  Both chains share the sub-tables.
+    ramp = cfg["burn_in"] if cfg["data_ramp"] else 0
+    totals = [int((i // max(ramp // 10, 1) + 1) / 10.0 * data.total) for i in range(ramp)]
+    ramp_tables = {t: data.prefix(t) for t in set(totals)}
+
     def run(n_min: float, stream: int) -> np.ndarray:
         rng = SeededRng(cfg["seed"], stream=stream)
         state = mix.init_state(rng, data, priors)
         rows = np.empty((cfg["steps"], len(top)))
-        ramp = cfg["burn_in"] if cfg["data_ramp"] else 0
         for i in range(cfg["burn_in"] + cfg["steps"]):
-            if ramp and i < ramp:
-                # grow the table linearly during burn-in to dodge bad modes
-                frac = (i // max(ramp // 10, 1) + 1) / 10.0
-                sub_cells = {}
-                budget = int(frac * data.total)
-                for c in data.ordered_cells():
-                    if budget <= 0:
-                        break
-                    take = min(data.cells[c], budget)
-                    sub_cells[c] = take
-                    budget -= take
-                cur = mix.ContingencyData(sub_cells, data.p, data.d, data.K)
-            else:
-                cur = data
+            cur = ramp_tables[totals[i]] if i < ramp else data
             if math.isinf(n_min):
                 state = mix.gibbs_step_exact(rng, state, cur, priors)
             else:
@@ -575,8 +569,16 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` where argparse would print its usage and exit,
+    so a bad command line gets the same JSON record as a bad value."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amcmc",
         description="Approximate-MCMC error bounds, samplers, and diagnostics",
     )
@@ -603,11 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    name = args.subcommand
-    schema, handler = COMMANDS[name]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first word; None when the command line has none
+    name = argv[0] if argv and argv[0] in COMMANDS else None
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        schema, handler = COMMANDS[name]
         file_values = parse_config_file(args.config) if args.config else {}
         overrides = {
             key: getattr(args, key, None) for key in schema if key != "seed"

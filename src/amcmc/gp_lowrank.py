@@ -134,43 +134,48 @@ def randomized_partial_eig(
     # mean of n_probes one-probe estimators; worst-case (rank-1 residual)
     # lower tail is chi2(n_probes)/n_probes; its quantile is 2 P^-1(k/2, q)
     safety = n_probes / (2 * gammaincinv(n_probes / 2, 10.0 ** (-d_prob)))
+    # the scale of Sigma's spectrum: trace(Sigma) >= ||Sigma||_2 for a PSD
+    # Sigma.  A projected column below 1e-12 of it is rounding noise.
+    scale = max(1.0, float(np.trace(Sigma)))
 
-    Q = np.empty((n, 0))
-    full_rank = False
-    while True:
-        G = rng.normal(size=(n, block))
-        Y = Sigma @ G
-        Y -= Q @ (Q.T @ Y)
+    Q = np.empty((n, n))  # the basis is Q[:, :k]
+    k = 0
+
+    def extend(columns: int) -> int:
+        """Add the new directions of Sigma G, G with ``columns`` Gaussian
+        columns, to the basis, as many as fit in n; return how many there
+        were.  Block Gram-Schmidt done twice keeps the basis orthonormal
+        when the projected block is mostly rounding error (Halko,
+        Martinsson & Tropp 2011, sec. 4.4)."""
+        nonlocal k
+        Qk = Q[:, :k]
+        Y = Sigma @ rng.normal(size=(n, columns))
+        Y -= Qk @ (Qk.T @ Y)
         Qb, Rb = np.linalg.qr(Y)
-        # drop directions annihilated by the projection
-        keep = np.abs(np.diag(Rb)) > 1e-12 * max(1.0, float(np.abs(Rb).max()))
-        Q = np.hstack([Q, Qb[:, keep]])
-        if Q.shape[1] >= n:
-            Q = np.linalg.qr(Q[:, :n])[0]
-            full_rank = True
-            break
+        Qb = Qb[:, np.abs(np.diag(Rb)) > 1e-12 * scale]
+        Qb -= Qk @ (Qk.T @ Qb)
+        Qb = np.linalg.qr(Qb)[0]
+        m = min(Qb.shape[1], n - k)
+        Q[:, k : k + m] = Qb[:, :m]
+        k += m
+        return Qb.shape[1]
+
+    while extend(block) and k < n:
         W = rng.normal(size=(n, n_probes))
         R = Sigma @ W
-        R -= Q @ (Q.T @ R)
+        R -= Q[:, :k] @ (Q[:, :k].T @ R)
         est_f2 = float(np.einsum("ij,ij->", R, R)) / n_probes
         if est_f2 * safety <= target2:
+            if oversample > 0:
+                extend(oversample)
             break
-
-    if not full_rank and oversample > 0:
-        G = rng.normal(size=(n, oversample))
-        Y = Sigma @ G
-        Y -= Q @ (Q.T @ Y)
-        Qb, Rb = np.linalg.qr(Y)
-        keep = np.abs(np.diag(Rb)) > 1e-12 * max(1.0, float(np.abs(Rb).max()))
-        Q = np.hstack([Q, Qb[:, keep]])
-        if Q.shape[1] > n:
-            Q = np.linalg.qr(Q[:, :n])[0]
-            full_rank = True
+    full_rank = k == n
+    Q = Q[:, :k]
 
     # Nystrom step with a tiny spectral shift for factorization stability
     B1 = Sigma @ Q
-    shift = 1e-12 * max(1.0, float(np.trace(Sigma)))
-    B2 = Q.T @ B1 + shift * np.eye(Q.shape[1])
+    shift = 1e-12 * scale
+    B2 = Q.T @ B1 + shift * np.eye(k)
     C = np.linalg.cholesky(0.5 * (B2 + B2.T))
     F = np.linalg.solve(C, B1.T).T  # B1 C^{-T}
     Uf, s, _ = np.linalg.svd(F, full_matrices=False)
@@ -224,20 +229,36 @@ def eig_accuracy_metrics(
     return R, F, C
 
 
+#: (U'y, y'y - |U'y|^2) of one factor: all the likelihood and the predictive
+#: mean need of y.  Both are fixed for a chain.
+Projection = tuple[np.ndarray, float]
+
+
+def _project(y: np.ndarray, factor: LowRankFactor) -> Projection:
+    y_u = factor.U.T @ y
+    return y_u, float(y @ y) - float(y_u @ y_u)
+
+
 def marginal_loglik(
-    y: np.ndarray, factor: LowRankFactor, sigma2: float, tau2: float
+    y: np.ndarray,
+    factor: LowRankFactor,
+    sigma2: float,
+    tau2: float,
+    proj: Projection | None = None,
 ) -> float:
     """Gaussian marginal log-likelihood of y under covariance
-    tau^2 U diag(lam) U' + sigma^2 I, via the eigen-identity in O(nr)."""
+    tau^2 U diag(lam) U' + sigma^2 I, via the eigen-identity: O(nr) to
+    project y, then O(r).  ``proj`` is ``_project(y, factor)``, when the
+    caller has it already."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     if tau2 < 0.0:
         raise ValueError("tau2 must be nonnegative")
     n = len(y)
-    y_u = factor.U.T @ y
+    y_u, resid2 = _project(y, factor) if proj is None else proj
     d = tau2 * factor.lam + sigma2
     logdet = float(np.log(d).sum()) + (n - factor.r) * math.log(sigma2)
-    quad = float((y_u * y_u / d).sum()) + (float(y @ y) - float(y_u @ y_u)) / sigma2
+    quad = float((y_u * y_u / d).sum()) + resid2 / sigma2
     return -0.5 * (n * _LOG_2PI + logdet + quad)
 
 
@@ -260,10 +281,10 @@ def _log_prior_logscale(x: float, a: float, b: float) -> float:
 
 
 def _log_post(
-    model: GPModel, factor: LowRankFactor, log_s2: float, log_t2: float
+    model: GPModel, factor: LowRankFactor, log_s2: float, log_t2: float, proj: Projection
 ) -> float:
     return (
-        marginal_loglik(model.y, factor, math.exp(log_s2), math.exp(log_t2))
+        marginal_loglik(model.y, factor, math.exp(log_s2), math.exp(log_t2), proj)
         + _log_prior_logscale(log_s2, model.a_sigma, model.b_sigma)
         + _log_prior_logscale(log_t2, model.a_tau, model.b_tau)
     )
@@ -275,16 +296,21 @@ def mh_griddy_step(
     model: GPModel,
     factors: list[LowRankFactor],
     prop_scale: float = 0.2,
+    projections: list[Projection] | None = None,
 ) -> tuple[GPState, bool]:
     """One joint random-walk MH update of (log sigma^2, log tau^2) followed
-    by a griddy-Gibbs draw of phi from its exact discrete conditional."""
-    factor = factors[state.phi_index]
+    by a griddy-Gibbs draw of phi from its exact discrete conditional.
+    ``projections`` holds ``_project(model.y, f)`` for each factor, when the
+    caller has them already."""
+    if projections is None:
+        projections = [_project(model.y, f) for f in factors]
+    factor, proj = factors[state.phi_index], projections[state.phi_index]
     x = math.log(state.sigma2)
     z = math.log(state.tau2)
     step = prop_scale * rng.normal(size=2)
     x_new, z_new = x + step[0], z + step[1]
-    log_alpha = _log_post(model, factor, x_new, z_new) - _log_post(
-        model, factor, x, z
+    log_alpha = _log_post(model, factor, x_new, z_new, proj) - _log_post(
+        model, factor, x, z, proj
     )
     accepted = math.log(rng.uniform()) < log_alpha
     if accepted:
@@ -293,7 +319,7 @@ def mh_griddy_step(
         sigma2, tau2 = state.sigma2, state.tau2
 
     logw = np.array(
-        [marginal_loglik(model.y, f, sigma2, tau2) for f in factors]
+        [marginal_loglik(model.y, f, sigma2, tau2, p) for f, p in zip(factors, projections)]
     )
     logw -= logw.max()
     w = np.exp(logw)
@@ -301,19 +327,26 @@ def mh_griddy_step(
     return GPState(sigma2, tau2, phi_index), accepted
 
 
-def predictive_mean(state: GPState, factor: LowRankFactor, y: np.ndarray) -> np.ndarray:
-    """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}."""
+def predictive_mean(
+    state: GPState, factor: LowRankFactor, y: np.ndarray, proj: Projection | None = None
+) -> np.ndarray:
+    """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.  ``proj`` is as
+    in :func:`marginal_loglik`."""
     d = 1.0 / (state.tau2 * factor.lam + state.sigma2) - 1.0 / state.sigma2
-    y_u = factor.U.T @ y
+    y_u = factor.U.T @ y if proj is None else proj[0]
     return factor.U @ (d * y_u) + y / state.sigma2
 
 
 def predictive_f_draw(
-    rng: SeededRng, state: GPState, factor: LowRankFactor, y: np.ndarray
+    rng: SeededRng,
+    state: GPState,
+    factor: LowRankFactor,
+    y: np.ndarray,
+    proj: Projection | None = None,
 ) -> np.ndarray:
     """Draw f ~ N(Psi y, Psi) using the eigen-identity for Psi and its
-    symmetric square root."""
-    mean = predictive_mean(state, factor, y)
+    symmetric square root.  ``proj`` is as in :func:`marginal_loglik`."""
+    mean = predictive_mean(state, factor, y, proj)
     z = rng.normal(size=len(y))
     sig = math.sqrt(state.sigma2)
     d_half = 1.0 / np.sqrt(state.tau2 * factor.lam + state.sigma2) - 1.0 / sig
@@ -392,9 +425,11 @@ class GPSampler:
         trace = np.empty((steps, 3))
         pred_sum = np.zeros(self.model.n)
         pred_running = [] if collect_predictive else None
+        # y and the factors are fixed for the chain: project y once per factor
+        projections = [_project(self.model.y, f) for f in self.factors]
         for i in range(burn_in + steps):
             state, accepted = mh_griddy_step(
-                rng, state, self.model, self.factors, scale
+                rng, state, self.model, self.factors, scale, projections
             )
             if i < burn_in:
                 # Robbins-Monro on the log proposal scale, burn-in only
@@ -409,9 +444,8 @@ class GPSampler:
                 n_accept += accepted
                 trace[j] = (state.sigma2, state.tau2, state.phi_index)
                 if collect_predictive:
-                    f = predictive_f_draw(
-                        rng, state, self.factors[state.phi_index], self.model.y
-                    )
+                    k = state.phi_index
+                    f = predictive_f_draw(rng, state, self.factors[k], self.model.y, projections[k])
                     pred_sum += f
                     pred_running.append(pred_sum / (j + 1))
         out = {
@@ -436,8 +470,9 @@ def prediction_rmse_curve(
     predictive mean, one entry per draw count 1..n_draws."""
     running = np.zeros(len(y))
     rmse = np.empty(n_draws)
+    proj = _project(y, factor)
     for j in range(n_draws):
-        running += predictive_f_draw(rng, state, factor, y)
+        running += predictive_f_draw(rng, state, factor, y, proj)
         rmse[j] = math.sqrt(float(np.mean((running / (j + 1) - psi_exact) ** 2)))
     return rmse
 

@@ -95,6 +95,30 @@ class ContingencyData:
     def ordered_cells(self) -> list[Cell]:
         return list(self._keys)
 
+    def prefix(self, total: int) -> "ContingencyData":
+        """The table of the first cells in sorted order that hold ``total``
+        counts, the last of them trimmed to fit; the whole table if
+        ``total`` is not below its own.  A slice of ``index`` and
+        ``counts``: nothing is sorted or validated again."""
+        cum = np.cumsum(self.counts)
+        m = min(int(np.searchsorted(cum, total)) + 1, self.n_cells) if total > 0 else 0
+        counts = self.counts[:m].copy()
+        if m:
+            counts[-1] = min(counts[-1], total - (cum[m - 2] if m > 1 else 0))
+        sub = object.__new__(ContingencyData)
+        fields = {
+            "cells": dict(zip(self._keys[:m], counts.tolist())),
+            "p": self.p,
+            "d": self.d,
+            "K": self.K,
+            "index": self.index[:m],
+            "counts": counts,
+            "_keys": self._keys[:m],
+        }
+        for name, value in fields.items():
+            object.__setattr__(sub, name, value)
+        return sub
+
 
 @dataclass(frozen=True)
 class MixturePriors:

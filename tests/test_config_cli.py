@@ -264,6 +264,8 @@ def test_cli_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
         (["gp", "--epsilon", "nan"], "epsilon"),
         (["mixture", "--n-min", "nan"], "n_min"),
         (["mixtimes", "--alphas", "0.1,inf"], "alphas"),
+        # f^2 overflowed, and 4 f^2 * 0 made every L2 bound NaN
+        (["compminimax", "--discrepancy", "l2", "--fstar", "1e200", "--tv0", "0"], "fstar"),
     ],
 )
 def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
@@ -272,6 +274,34 @@ def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["subcommand"] == argv[0]
     assert err["error"].startswith(f"{key} must lie in ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_largest_fstar_keeps_the_l2_bounds_finite(tmp_path):
+    argv = ["compminimax", "--discrepancy", "l2", "--fstar", "1e150", "--tv0", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _, rows = read_csv_rows(tmp_path / "compminimax.csv")
+    assert rows and all(np.isfinite(float(row[-1])) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv, subcommand",
+    [
+        (["bounds", "--alpha", "-1e-05"], "bounds"),  # taken for an option
+        (["compminimax", "--tau-min", "-inf"], "compminimax"),
+        (["bounds", "--t-max", "ten"], "bounds"),
+        (["bounds", "--no-such-flag", "1"], "bounds"),
+        (["no-such-subcommand"], None),
+        ([], None),
+    ],
+)
+def test_cli_parse_error_exits_2_with_json(tmp_path, capsys, argv, subcommand):
+    """A command line argparse rejects gets the JSON record, not argparse's
+    usage text."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    record = json.loads(err)
+    assert record["subcommand"] == subcommand and record["error"]
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -332,11 +362,9 @@ def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_mixture_byte_identical_across_processes(tmp_path):
-    """Two separate processes with the same seed and config write the same
-    bytes to every artifact, the manifest included."""
-    args = ["mixture", "--seed", "9", "--p", "3", "--d", "4", "--N", "3000", "--n-min", "20",
-            "--steps", "20", "--burn-in", "10", "--top-cells", "6"]
+def _digests_of_two_processes(tmp_path, args: list[str]) -> list[dict[str, str]]:
+    """sha256 of every artifact of ``amcmc args``, run in two separate
+    processes."""
     code = "import sys; from amcmc.cli import main; sys.exit(main(sys.argv[1:]))"
     digests = []
     for name in ("a", "b"):
@@ -344,7 +372,24 @@ def test_cli_mixture_byte_identical_across_processes(tmp_path):
         proc = _fresh_python(code, *args, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         digests.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())})
+    return digests
+
+
+def test_cli_mixture_byte_identical_across_processes(tmp_path):
+    """Two separate processes with the same seed and config write the same
+    bytes to every artifact, the manifest included."""
+    args = ["mixture", "--seed", "9", "--p", "3", "--d", "4", "--N", "3000", "--n-min", "20",
+            "--steps", "20", "--burn-in", "10", "--top-cells", "6"]
+    digests = _digests_of_two_processes(tmp_path, args)
     assert len(digests[0]) == 5  # three CSVs, the summary and the manifest
+    assert digests[0] == digests[1]
+
+
+def test_cli_gp_byte_identical_across_processes(tmp_path):
+    args = ["gp", "--seed", "4", "--n", "60", "--phi-grid-size", "4", "--delta", "1e-4",
+            "--steps", "40", "--burn-in", "20"]
+    digests = _digests_of_two_processes(tmp_path, args)
+    assert len(digests[0]) == 4  # trace, predictive, summary and the manifest
     assert digests[0] == digests[1]
 
 
@@ -387,13 +432,15 @@ FUZZED = {
 }
 
 
-def _argv(name: str, values: dict) -> list[str]:
-    """``--key=value`` pairs; the ``=`` form lets a value start with '-'."""
+def _argv(name: str, values: dict, joined: bool) -> list[str]:
+    """``--key=value`` pairs if ``joined``, else ``--key value`` token pairs,
+    where argparse takes a value such as '-1e-05' for an option."""
     argv = [name]
     for key, value in values.items():
         if value is not None:
             text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
-            argv.append(f"--{key.replace('_', '-')}={text}")
+            flag = f"--{key.replace('_', '-')}"
+            argv.extend([f"{flag}={text}"] if joined else [flag, text])
     return argv
 
 
@@ -406,12 +453,13 @@ def test_cli_contract_holds_for_any_floats(name):
     @given(st.fixed_dictionaries({k: st.none() | v for k, v in keys.items()}))
     @settings(max_examples=60, deadline=None)
     def run(values):
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-            code = main(_argv(name, values) + ["--out", out])
-        assert code in (0, 1, 2)
-        if code == 2:
-            record = json.loads(err.getvalue().strip().splitlines()[-1])
-            assert record["subcommand"] == name and record["error"]
+        for joined in (True, False):
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+                code = main(_argv(name, values, joined) + ["--out", out])
+            assert code in (0, 1, 2)
+            if code == 2:
+                record = json.loads(err.getvalue().strip().splitlines()[-1])
+                assert record["subcommand"] == name and record["error"]
 
     run()

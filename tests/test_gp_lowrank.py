@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from amcmc.distributions import SeededRng
+from amcmc.distributions import SeededRng, sample_discrete
 from amcmc.gp_lowrank import (
     GPModel,
     GPSampler,
@@ -25,6 +25,7 @@ from amcmc.gp_lowrank import (
     se_covariance,
     simulate_gp,
 )
+from amcmc.gp_lowrank import _project
 
 
 def test_se_covariance_basics():
@@ -73,6 +74,36 @@ def test_factor_exact_on_low_rank_matrix():
     fac = randomized_partial_eig(SeededRng(6), S, 1e-6)
     assert fac.resid_fro <= 1e-6
     assert fac.lam[:2] == pytest.approx([3.0, 1.0], abs=1e-8)
+
+
+@pytest.mark.parametrize("phi, optimum", [(5.0, 8), (20.0, 13), (80.0, 22)])
+def test_range_finder_keeps_its_basis_orthonormal(phi, optimum):
+    """Grid design, n = 1000, delta = 1e-3.  Projecting each block against
+    the basis once lost its orthogonality at phi = 5 and 80 once the range
+    was nearly captured, and the search ran to full rank."""
+    S = se_covariance(np.linspace(0.0, 1.0, 1000)[:, None], phi)
+    fac = randomized_partial_eig(SeededRng(0, 1), S, 1e-3)
+    assert not fac.full_rank
+    assert np.abs(fac.U.T @ fac.U - np.eye(fac.r)).max() <= 1e-12
+    assert fac.resid_fro <= 1e-3
+    # Eckart-Young: ||S - S_i||_F over the best rank-i S_i is the root of
+    # the tail sum of squared eigenvalues; the least i within delta
+    vals = np.linalg.eigvalsh(S)[::-1]
+    tail = np.sqrt(np.cumsum(vals[::-1] ** 2)[::-1])
+    assert int(np.searchsorted(-tail, -1e-3)) == optimum
+    # at most one block (8) and the oversample (10) above the optimum
+    assert optimum <= fac.r <= optimum + 8 + 10
+
+
+def test_range_finder_stops_when_a_block_adds_no_direction():
+    """Below the rounding floor no probe estimate meets delta; the search
+    ends when a block brings no direction the basis lacks."""
+    rng = np.random.default_rng(5)
+    V = np.linalg.qr(rng.normal(size=(60, 2)))[0]
+    S = (V * np.array([3.0, 1.0])) @ V.T
+    fac = randomized_partial_eig(SeededRng(6), S, 1e-300)
+    assert fac.r == 2 and not fac.full_rank
+    assert fac.lam == pytest.approx([3.0, 1.0], abs=1e-10)
 
 
 def test_factor_rejects_bad_delta():
@@ -210,6 +241,107 @@ def test_sampler_run_rejects_empty_or_negative_budgets():
         with pytest.raises(ValueError, match="steps >= 1"):
             s.run(rng, steps=steps, burn_in=burn_in)
         assert rng.normal() == SeededRng(15).normal()  # nothing drawn
+
+
+def _old_run(sampler, rng, steps, burn_in):
+    """``GPSampler.run`` with ``collect_predictive=True`` as it was before
+    the projections of y were cached: every likelihood and predictive draw
+    projects y itself."""
+    model, factors, y = sampler.model, sampler.factors, sampler.model.y
+
+    def loglik(factor, sigma2, tau2):
+        n = len(y)
+        y_u = factor.U.T @ y
+        d = tau2 * factor.lam + sigma2
+        logdet = float(np.log(d).sum()) + (n - factor.r) * math.log(sigma2)
+        quad = float((y_u * y_u / d).sum()) + (float(y @ y) - float(y_u @ y_u)) / sigma2
+        return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+
+    def log_post(factor, x, z):
+        return (
+            loglik(factor, math.exp(x), math.exp(z))
+            + (-model.a_sigma * x - model.b_sigma * math.exp(-x))
+            + (-model.a_tau * z - model.b_tau * math.exp(-z))
+        )
+
+    def f_draw(state, factor):
+        d = 1.0 / (state.tau2 * factor.lam + state.sigma2) - 1.0 / state.sigma2
+        mean = factor.U @ (d * (factor.U.T @ y)) + y / state.sigma2
+        z = rng.normal(size=len(y))
+        sig = math.sqrt(state.sigma2)
+        d_half = 1.0 / np.sqrt(state.tau2 * factor.lam + state.sigma2) - 1.0 / sig
+        return mean + factor.U @ (d_half * (factor.U.T @ z)) + z / sig
+
+    state = GPState(1.0, 1.0, len(factors) // 2)
+    scale = sampler.prop_scale
+    n_accept = 0
+    trace = np.empty((steps, 3))
+    pred_sum = np.zeros(model.n)
+    pred_running = []
+    for i in range(burn_in + steps):
+        factor = factors[state.phi_index]
+        x, z = math.log(state.sigma2), math.log(state.tau2)
+        step = scale * rng.normal(size=2)
+        x_new, z_new = x + step[0], z + step[1]
+        log_alpha = log_post(factor, x_new, z_new) - log_post(factor, x, z)
+        accepted = math.log(rng.uniform()) < log_alpha
+        if accepted:
+            sigma2, tau2 = math.exp(x_new), math.exp(z_new)
+        else:
+            sigma2, tau2 = state.sigma2, state.tau2
+        logw = np.array([loglik(f, sigma2, tau2) for f in factors])
+        logw -= logw.max()
+        w = np.exp(logw)
+        state = GPState(sigma2, tau2, sample_discrete(rng, w / w.sum()))
+        if i < burn_in:
+            scale = math.exp(
+                math.log(scale)
+                + (1.0 if accepted else 0.0) / (i + 1) ** 0.6
+                - sampler.target_accept / (i + 1) ** 0.6
+            )
+            scale = min(max(scale, 1e-3), 5.0)
+        else:
+            j = i - burn_in
+            n_accept += accepted
+            trace[j] = (state.sigma2, state.tau2, state.phi_index)
+            pred_sum += f_draw(state, factors[state.phi_index])
+            pred_running.append(pred_sum / (j + 1))
+    return {"trace": trace, "accept_rate": n_accept / steps, "prop_scale": scale,
+            "pred_running": pred_running}
+
+
+def test_cached_projections_match_the_per_call_loop_bit_for_bit():
+    s = _toy_sampler(21, delta=1e-4)
+    rng_new, rng_old = SeededRng(22), SeededRng(22)
+    new = s.run(rng_new, steps=60, burn_in=30, collect_predictive=True)
+    old = _old_run(s, rng_old, steps=60, burn_in=30)
+    assert new["trace"].tobytes() == old["trace"].tobytes()
+    assert len(set(new["trace"][:, 2])) > 1  # the chain visits several factors
+    assert (new["accept_rate"], new["prop_scale"]) == (old["accept_rate"], old["prop_scale"])
+    assert len(new["pred_running"]) == len(old["pred_running"]) == 60
+    for a, b in zip(new["pred_running"], old["pred_running"]):
+        assert a.tobytes() == b.tobytes()
+    # the same generator position after both chains
+    assert rng_new.normal(size=4).tobytes() == rng_old.normal(size=4).tobytes()
+
+
+def test_public_functions_agree_with_and_without_the_projection():
+    s = _toy_sampler(23, delta=1e-4)
+    y, factors = s.model.y, s.factors
+    projections = [_project(y, f) for f in factors]
+    for f, proj in zip(factors, projections):
+        for s2, t2 in ((0.25, 1.0), (0.013, 7.5), (3.0, 0.02)):
+            assert marginal_loglik(y, f, s2, t2, proj) == marginal_loglik(y, f, s2, t2)
+            state = GPState(s2, t2, 0)
+            assert predictive_mean(state, f, y, proj).tobytes() == predictive_mean(state, f, y).tobytes()
+            with_proj = predictive_f_draw(SeededRng(24), state, f, y, proj)
+            assert with_proj.tobytes() == predictive_f_draw(SeededRng(24), state, f, y).tobytes()
+    rng_a, rng_b = SeededRng(25), SeededRng(25)
+    state_a = state_b = GPState(1.0, 1.0, 2)
+    for _ in range(10):
+        state_a, acc_a = mh_griddy_step(rng_a, state_a, s.model, factors, 0.3, projections)
+        state_b, acc_b = mh_griddy_step(rng_b, state_b, s.model, factors, 0.3)
+        assert (state_a, acc_a) == (state_b, acc_b)
 
 
 def test_probe_safety_quantile_equals_scipy_stats_chi2_ppf():

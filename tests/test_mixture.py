@@ -58,6 +58,36 @@ def test_contingency_validation():
     assert empty.index.shape == (0, 2) and empty.total == 0
 
 
+def _prefix_from_dict(data, total):
+    """The burn-in ramp's sub-table as ``cli.run_mixture_experiment`` built
+    it before ``prefix``: a dict filled cell by cell, then validated."""
+    sub_cells = {}
+    budget = total
+    for c in data.ordered_cells():
+        if budget <= 0:
+            break
+        take = min(data.cells[c], budget)
+        sub_cells[c] = take
+        budget -= take
+    return ContingencyData(sub_cells, data.p, data.d, data.K)
+
+
+def test_prefix_equals_the_table_built_from_a_dict():
+    data = simulate_contingency(SeededRng(9), p=3, d=4, K=2, N=500)[0]
+    counts = data.counts.copy()
+    cum = np.cumsum(counts)
+    # every cell boundary, one count either side of it, and past the total
+    for total in sorted({0, 1, *cum, *(cum - 1), *(cum + 1), 2 * data.total}):
+        got, want = data.prefix(int(total)), _prefix_from_dict(data, int(total))
+        assert got == want  # cells, p, d and K
+        assert got.ordered_cells() == want.ordered_cells()
+        assert got.index.dtype == want.index.dtype and got.index.shape == want.index.shape
+        assert np.array_equal(got.index, want.index)
+        assert got.counts.dtype == want.counts.dtype and np.array_equal(got.counts, want.counts)
+        assert got.total == min(int(total), data.total)
+    assert np.array_equal(data.counts, counts)  # trimming a slice left the table whole
+
+
 def test_cell_probabilities_sum_to_one():
     rng = SeededRng(0)
     _, nu, lam, _ = simulate_contingency(rng, p=2, d=3, K=2, N=10)
