@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +137,9 @@ MINIMUMS = {
 #: A parenthesis excludes its end, so NaN and the infinities never pass.
 #: Budgets stop at 1e15 steps, so every path length floor(s(eps) tau) fits an
 #: int64.  fstar stops at 1e150, so f^2 and the L2 bounds' constants (up to
-#: 8 f^2) stay finite.
+#: 8 f^2) stay finite; alpha starts at 1e-150, so alpha^2 stays nonzero.
 INTERVALS = {
-    "alpha": "(0, 1)",
+    "alpha": "[1e-150, 1)",
     "epsilon": "[0, 1]",
     "tv0": "[0, 1]",
     "tv0_eps": "[0, 1]",
@@ -163,6 +162,15 @@ INTERVALS = {
 }
 
 
+#: Accepted values of each fixed-vocabulary string setting, checked whether
+#: or not the run would read it.
+CHOICES = {
+    "discrepancy": ("tv", "l2"),
+    "design": ("grid", "normal"),
+    "second_branch": ("appendix", "remark"),
+}
+
+
 def _inside(value: float, interval: str) -> bool:
     low, high = (float(v) for v in interval[1:-1].split(","))
     above = value > low if interval[0] == "(" else value >= low
@@ -179,6 +187,9 @@ def check_ranges(cfg: dict) -> None:
         for v in values if isinstance(values, list) else [values]:
             if not _inside(v, interval):
                 raise ValueError(f"{key} must lie in {interval}, got {v}")
+    for key, choices in CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, got {cfg[key]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +556,9 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
             z[j] = diag.geweke_z(
                 diag.Trace(trace.samples[:, j]), cfg["first_frac"], cfg["last_frac"]
             )[0]
-        except ValueError:
-            pass
+        except ValueError as exc:
+            if str(exc) != "window is constant":  # overlapping or too-short windows
+                raise
     report = diag.phi_max(trace, min(cfg["k_max"], max(trace.t // 10, 1)))
     rows = [
         (j, ess[j], int(flags[j]), z[j]) for j in range(trace.p)
@@ -578,6 +590,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand: --config, --out, one flag per schema key,
+    and --budget-steps where the schema has ``steps``.  A schema flag is set
+    only when given, as a raw string; ``resolve_config`` types it."""
     parser = _Parser(
         prog="amcmc",
         description="Approximate-MCMC error bounds, samplers, and diagnostics",
@@ -586,21 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (schema, _handler) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default="out")
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-        p.add_argument("--budget-steps", type=int, default=None)
-        p.add_argument("--budget-seconds", type=float, default=None)
-        for key, (typ, _default) in schema.items():
-            if key == "seed":
-                continue
-            flag = "--" + key.replace("_", "-")
-            if typ is list:
-                p.add_argument(flag, type=lambda s: [float(v) for v in s.split(",")])
-            elif typ is bool:
-                p.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"))
-            else:
-                p.add_argument(flag, type=typ)
+        if "steps" in schema:
+            p.add_argument("--budget-steps", type=int, default=None)
+        for key in schema:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS)
     return parser
 
 
@@ -608,18 +613,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the subcommand is the first word; None when the command line has none
     name = argv[0] if argv and argv[0] in COMMANDS else None
-    started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
         schema, handler = COMMANDS[name]
-        file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {
-            key: getattr(args, key, None) for key in schema if key != "seed"
-        }
-        if "seed" in schema:
-            overrides["seed"] = args.seed
-        cfg = resolve_config(schema, file_values, overrides)
-        if args.budget_steps is not None and "steps" in cfg:
+        values = parse_config_file(args.config) if args.config else {}
+        values.update((k, v) for k, v in vars(args).items() if k in schema)
+        cfg = resolve_config(schema, values)
+        if getattr(args, "budget_steps", None) is not None:
             cfg["steps"] = min(cfg["steps"], args.budget_steps)
         check_ranges(cfg)
         out = Path(args.out)
@@ -628,14 +628,6 @@ def main(argv=None) -> int:
         code = globals()[handler](cfg, out)
 
         write_manifest(out, name, cfg)
-        if (
-            args.budget_seconds is not None
-            and time.monotonic() - started > args.budget_seconds
-        ):
-            print(
-                json.dumps({"warning": "wall-time budget exceeded"}),
-                file=sys.stderr,
-            )
         return code
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc), "subcommand": name}), file=sys.stderr)

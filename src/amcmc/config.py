@@ -2,11 +2,12 @@
 manifests.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments
-allowed.  Values are typed by the subcommand's schema; command-line flags
-override file values.  Every run writes a ``manifest.json`` recording the
-resolved config, its hash, the seed, and library versions, so a run can be
-reproduced byte-for-byte from its manifest (timestamps live only in the
-manifest, never in the CSV payloads).
+allowed.  Command-line flags override file values as raw strings, and the
+merged strings are typed once, by the subcommand's schema.  Every run
+writes a ``manifest.json`` recording the resolved config, its hash, the
+seed, and library versions, so a run can be reproduced byte-for-byte from
+its manifest (timestamps live only in the manifest, never in the CSV
+payloads).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import platform
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 import scipy
@@ -29,18 +30,20 @@ __all__ = [
     "config_hash",
     "write_manifest",
     "write_csv",
+    "iter_csv_rows",
     "read_csv_rows",
 ]
 
 
 def _parse_scalar(raw: str, typ: type) -> Any:
-    raw = raw.strip()
     if typ is bool:
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
+    if typ is list:
+        return [float(v) for v in raw.split(",")]  # an empty entry raises
     return typ(raw)
 
 
@@ -59,29 +62,23 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def resolve_config(
-    schema: dict[str, tuple[type, Any]],
-    file_values: dict[str, str],
-    overrides: dict[str, Any],
+    schema: dict[str, tuple[type, Any]], values: dict[str, str]
 ) -> dict[str, Any]:
-    """Merge defaults <- file <- flag overrides, rejecting unknown keys.
+    """Defaults overlaid with ``values``, raw strings typed by the schema;
+    unknown keys are rejected.
 
     ``schema`` maps key -> (type, default).  List-valued keys use type
-    ``list`` with comma-separated float entries.
+    ``list`` with comma-separated float entries, none of them empty.
     """
-    unknown = set(file_values) - set(schema)
+    unknown = set(values) - set(schema)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     out: dict[str, Any] = {}
     for key, (typ, default) in schema.items():
-        out[key] = default
-        if key in file_values:
-            raw = file_values[key]
-            if typ is list:
-                out[key] = [float(v) for v in raw.split(",") if v.strip()]
-            else:
-                out[key] = _parse_scalar(raw, typ)
-        if key in overrides and overrides[key] is not None:
-            out[key] = overrides[key]
+        try:
+            out[key] = _parse_scalar(values[key], typ) if key in values else default
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return out
 
 
@@ -131,8 +128,16 @@ def write_csv(path: str | Path, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def iter_csv_rows(path: str | Path) -> Iterator[list[str]]:
+    """The header row of a CSV file (empty for an empty file), then each
+    nonblank row after it, read one at a time, so a caller that converts
+    each row never holds a long file as strings."""
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        return header, [row for row in r if row]
+        yield next(r, [])
+        yield from (row for row in r if row)
+
+
+def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    rows = iter_csv_rows(path)
+    return next(rows), list(rows)

@@ -18,12 +18,13 @@ All estimators are deterministic functions of the trace.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
+
+from .config import iter_csv_rows, write_csv
 
 __all__ = [
     "Trace",
@@ -220,19 +221,11 @@ def effective_sample_size(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_trace_csv(trace: Trace, path: str | Path, names=None) -> None:
-    p = trace.p
-    if names is None:
-        names = [f"x{j}" for j in range(p)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for row in trace.samples:
-            w.writerow([repr(float(v)) for v in row])
+    names = [f"x{j}" for j in range(trace.p)] if names is None else names
+    write_csv(path, names, (row.tolist() for row in trace.samples))
 
 
 def read_trace_csv(path: str | Path, seed: int | None = None) -> Trace:
-    with open(path, newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        next(r)  # header
-        rows = [[float(v) for v in row] for row in r if row]
-    return Trace(np.array(rows), seed=seed)
+    rows = iter_csv_rows(path)
+    next(rows)  # header
+    return Trace(np.array([[float(v) for v in row] for row in rows]), seed=seed)

@@ -1,5 +1,6 @@
 """Config plumbing and the CLI subcommands end to end."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcmc.cli import main
+from amcmc.cli import COMMANDS, build_parser, main
 from amcmc.config import (
     config_hash,
     parse_config_file,
@@ -24,6 +25,7 @@ from amcmc.config import (
     write_csv,
     write_manifest,
 )
+from amcmc.diagnostics import Trace, write_trace_csv
 
 SCHEMA = {"alpha": (float, 0.1), "t": (int, 5), "flags": (list, [1.0]), "on": (bool, False)}
 
@@ -46,20 +48,66 @@ def test_parse_config_rejects_garbage(tmp_path):
         parse_config_file(cfg)
 
 
-def test_resolve_config_precedence():
-    got = resolve_config(SCHEMA, {"alpha": "0.5", "flags": "1,2.5"}, {"t": 9})
-    assert got == {"alpha": 0.5, "t": 9, "flags": [1.0, 2.5], "on": False}
+def test_resolve_config_precedence(tmp_path):
+    """Defaults <- config file <- flags."""
+    got = resolve_config(SCHEMA, {"alpha": "0.5", "flags": "1,2.5"})
+    assert got == {"alpha": 0.5, "t": 5, "flags": [1.0, 2.5], "on": False}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.3\nt_max = 50\n")
+    assert main(["bounds", "--config", str(cfg), "--alpha", "0.2", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert (config["alpha"], config["t_max"], config["t_points"]) == ("0.2", "50", "50")
 
 
 def test_resolve_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
-        resolve_config(SCHEMA, {"blah": "1"}, {})
+        resolve_config(SCHEMA, {"blah": "1"})
 
 
 def test_resolve_config_bools():
-    assert resolve_config(SCHEMA, {"on": "yes"}, {})["on"] is True
-    with pytest.raises(ValueError):
-        resolve_config(SCHEMA, {"on": "maybe"}, {})
+    assert resolve_config(SCHEMA, {"on": "yes"})["on"] is True
+    with pytest.raises(ValueError, match="^on: not a boolean"):
+        resolve_config(SCHEMA, {"on": "maybe"})
+
+
+@pytest.mark.parametrize("raw", ["1,,2", "1,", ",1", "", " "])
+def test_resolve_config_rejects_empty_list_entries(raw):
+    with pytest.raises(ValueError, match="^flags: "):
+        resolve_config(SCHEMA, {"flags": raw})
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["mixtimes", "--alphas", "0.1,,0.2"], "alphas = 0.1,,0.2"),
+        (["mixture", "--data-ramp", "maybe"], "data_ramp = maybe"),
+        (["bounds", "--t-max", "1e3"], "t_max = 1e3"),
+    ],
+)
+def test_cli_flag_and_file_values_fail_alike(tmp_path, capsys, argv, line):
+    """A value that a config file rejects is rejected as a flag too, with
+    the same message."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    errors = []
+    for extra in (argv[1:], ["--config", str(cfg)]):
+        assert main([argv[0], *extra, "--out", str(tmp_path)]) == 2
+        errors.append(json.loads(capsys.readouterr().err.strip())["error"])
+    assert errors[0] == errors[1] and errors[0].startswith(line.split(" ")[0] + ": ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_flag_and_file_values_parse_alike(tmp_path):
+    """``--data-ramp 0`` and ``data_ramp = 0`` give the same config."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("data_ramp = 0\n")
+    args = ["mixture", "--N", "200", "--steps", "4", "--burn-in", "2", "--top-cells", "2"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--data-ramp", "0", "--out", str(a)]) == 0
+    assert main(args + ["--config", str(cfg), "--out", str(b)]) == 0
+    manifest = (a / "manifest.json").read_text()
+    assert json.loads(manifest)["config"]["data_ramp"] == "False"
+    assert manifest == (b / "manifest.json").read_text()
 
 
 def test_config_hash_stable_and_order_independent():
@@ -115,20 +163,6 @@ def test_cli_mixtimes_byte_reproducible(tmp_path):
     main(["mixtimes", "--out", str(a)])
     main(["mixtimes", "--out", str(b)])
     assert (a / "mixtimes.csv").read_bytes() == (b / "mixtimes.csv").read_bytes()
-
-
-def test_cli_compminimax_threads_deterministic(tmp_path):
-    args = [
-        "compminimax",
-        "--alpha", "0.1",
-        "--tau-max", "100",
-        "--tau-points", "5",
-        "--grid-size", "200",
-    ]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(a), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(b), "--threads", "4"]) == 0
-    assert (a / "compminimax.csv").read_bytes() == (b / "compminimax.csv").read_bytes()
 
 
 def test_cli_verify_finite(tmp_path):
@@ -266,6 +300,8 @@ def test_cli_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
         (["mixtimes", "--alphas", "0.1,inf"], "alphas"),
         # f^2 overflowed, and 4 f^2 * 0 made every L2 bound NaN
         (["compminimax", "--discrepancy", "l2", "--fstar", "1e200", "--tv0", "0"], "fstar"),
+        # alpha^2 underflowed to 0, and the L2 bias term divided by it
+        (["bounds", "--alpha", "1e-200", "--epsilon", "0"], "alpha"),
     ],
 )
 def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
@@ -293,11 +329,21 @@ def test_cli_largest_fstar_keeps_the_l2_bounds_finite(tmp_path):
         (["bounds", "--no-such-flag", "1"], "bounds"),
         (["no-such-subcommand"], None),
         ([], None),
+        # no flag that changes nothing: no thread count, no wall-time budget,
+        # no seed or step budget where the subcommand has none
+        *[([name, "--threads", "4"], name) for name in COMMANDS],
+        *[([name, "--budget-seconds", "1"], name) for name in COMMANDS],
+        (["bounds", "--seed", "5"], "bounds"),
+        (["mixtimes", "--budget-steps", "3"], "mixtimes"),
+        # a fixed-vocabulary string is checked even where the run never reads it
+        (["gp", "--second-branch", "bogus"], "gp"),
+        (["gp", "--design", "lattice"], "gp"),
+        (["compminimax", "--discrepancy", "kl"], "compminimax"),
     ],
 )
 def test_cli_parse_error_exits_2_with_json(tmp_path, capsys, argv, subcommand):
-    """A command line argparse rejects gets the JSON record, not argparse's
-    usage text."""
+    """A command line the CLI rejects before running gets the JSON record,
+    not argparse's usage text."""
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip()
     record = json.loads(err)
@@ -309,11 +355,67 @@ def test_cli_float_range_applies_to_config_files(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = nan\n")
     assert main(["bounds", "--out", str(tmp_path), "--config", str(cfg)]) == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"].startswith("alpha must lie in (0, 1)")
+    assert json.loads(capsys.readouterr().err.strip())["error"].startswith("alpha must lie in [1e-150, 1)")
 
 
 def test_cli_diagnose_requires_trace(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_diagnose_empty_trace_exits_2_with_json(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["diagnose", "--trace", str(empty), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "trace needs at least 2 steps"
+
+
+def test_cli_options_are_settings():
+    """Every option of every subcommand is --config, --out, a key of the
+    subcommand's schema, or --budget-steps where the schema has ``steps``."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(COMMANDS)
+    for name, (schema, _handler) in COMMANDS.items():
+        options = {
+            flag
+            for action in subparsers.choices[name]._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+        }
+        expected = {"--config", "--out"} | {"--" + key.replace("_", "-") for key in schema}
+        if "steps" in schema:
+            expected.add("--budget-steps")
+        assert options == expected, name
+
+
+def _write_trace(path, t=200, p=3):
+    """A trace CSV whose last coordinate never moves."""
+    samples = np.cumsum(np.sin(np.arange(t * p, dtype=float)).reshape(t, p), axis=0)
+    samples[:, -1] = 1.0
+    write_trace_csv(Trace(samples), path)
+    return path
+
+
+def test_cli_diagnose_constant_coordinate_has_no_geweke_score(tmp_path):
+    trace = _write_trace(tmp_path / "trace.csv")
+    assert main(["diagnose", "--trace", str(trace), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv_rows(tmp_path / "diagnose_coords.csv")
+    assert [row[2] for row in rows] == ["0", "0", "1"]
+    assert np.isfinite(float(rows[0][3])) and rows[2][3] == "nan"
+
+
+@pytest.mark.parametrize(
+    "fracs",
+    [
+        ["--first-frac", "0.6", "--last-frac", "0.6"],  # overlapping windows
+        ["--first-frac", "0.01"],  # a window of two steps
+    ],
+)
+def test_cli_diagnose_rejects_bad_windows(tmp_path, capsys, fracs):
+    trace = _write_trace(tmp_path / "trace.csv")
+    assert main(["diagnose", "--trace", str(trace), *fracs, "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["subcommand"] == "diagnose" and "window" in record["error"]
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_cli_budget_steps_caps_chain(tmp_path):
@@ -390,6 +492,36 @@ def test_cli_gp_byte_identical_across_processes(tmp_path):
             "--steps", "40", "--burn-in", "20"]
     digests = _digests_of_two_processes(tmp_path, args)
     assert len(digests[0]) == 4  # trace, predictive, summary and the manifest
+    assert digests[0] == digests[1]
+
+
+def test_cli_logistic_byte_identical_across_processes(tmp_path):
+    args = ["logistic", "--seed", "2", "--N", "200", "--p", "3", "--subset-sizes", "50,200",
+            "--steps", "20", "--burn-in", "5", "--audit-every", "5"]
+    digests = _digests_of_two_processes(tmp_path, args)
+    assert len(digests[0]) == 5  # subsets, three traces and the manifest
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds", "--alpha", "0.2", "--epsilon", "0.05"],
+        ["compminimax", "--discrepancy", "l2", "--tau-max", "100", "--tau-points", "5",
+         "--grid-size", "200"],
+    ],
+    ids=["bounds", "compminimax"],
+)
+def test_cli_calculus_byte_identical_across_processes(tmp_path, args):
+    digests = _digests_of_two_processes(tmp_path, args)
+    assert len(digests[0]) == 2  # one CSV and the manifest
+    assert digests[0] == digests[1]
+
+
+def test_cli_diagnose_byte_identical_across_processes(tmp_path):
+    trace = _write_trace(tmp_path / "trace.csv")
+    digests = _digests_of_two_processes(tmp_path, ["diagnose", "--trace", str(trace)])
+    assert len(digests[0]) == 3  # coordinates, summary and the manifest
     assert digests[0] == digests[1]
 
 
