@@ -241,11 +241,13 @@ def cmd_compminimax(cfg: dict, out: Path) -> int:
         grid_size=cfg["grid_size"],
     )
     tau_grid = list(np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_points"]))
+    forms = [f.strip() for f in cfg["forms"].split(",")]
+    if not set(forms) <= set(cmx.SPEEDUP_FORMS):
+        raise ValueError(f"forms must be a comma list of {', '.join(cmx.SPEEDUP_FORMS)}, got {cfg['forms']!r}")
     rows = []
-    for form in (f.strip() for f in cfg["forms"].split(",")):
-        if form:
-            fn = cmx.SpeedupFn(form, cfg["alpha"])
-            rows.extend(cmx.curve_epsilon_vs_budget(template, fn, tau_grid))
+    for form in forms:
+        fn = cmx.SpeedupFn(form, cfg["alpha"])
+        rows.extend(cmx.curve_epsilon_vs_budget(template, fn, tau_grid))
     write_csv(out / "compminimax.csv", cmx.CURVE_CSV_HEADER, rows)
     return 0
 
@@ -398,12 +400,12 @@ def cmd_mixture(cfg: dict, out: Path) -> int:
         ],
     )
     diag.write_trace_csv(
-        diag.Trace(res["exact"], seed=cfg["seed"]),
+        diag.Trace(res["exact"]),
         out / "mixture_trace_exact.csv",
         names=["|".join(map(str, c)) for c in top],
     )
     diag.write_trace_csv(
-        diag.Trace(res["approx"], seed=cfg["seed"]),
+        diag.Trace(res["approx"]),
         out / "mixture_trace_approx.csv",
         names=["|".join(map(str, c)) for c in top],
     )
@@ -412,6 +414,11 @@ def cmd_mixture(cfg: dict, out: Path) -> int:
 
 
 def run_logistic_experiment(cfg: dict) -> dict:
+    sizes = cfg["subset_sizes"]
+    if not all(s == int(s) and cfg["p"] < s <= cfg["N"] for s in sizes):
+        raise ValueError(
+            f"subset_sizes must be integers in [p + 1, N] = [{cfg['p'] + 1}, {cfg['N']}], got {sizes}"
+        )
     rng_sim = SeededRng(cfg["seed"], stream=0)
     data, beta_true = pg.simulate_logistic(rng_sim, cfg["N"], cfg["p"])
     b = np.zeros(data.p)
@@ -428,7 +435,7 @@ def run_logistic_experiment(cfg: dict) -> dict:
     exact_mean = exact.trace.mean(axis=0)
 
     per_size = []
-    for k, size in enumerate(int(s) for s in cfg["subset_sizes"]):
+    for k, size in enumerate(int(s) for s in sizes):
         policy = pg.SubsetPolicy(mode="fixed", size=size)
         res = pg.run_chain(
             SeededRng(cfg["seed"], stream=1),
@@ -464,11 +471,11 @@ def cmd_logistic(cfg: dict, out: Path) -> int:
         [(d["size"], d["rmse"], d["w1"], d["audit_median"]) for d in res["per_size"]],
     )
     diag.write_trace_csv(
-        diag.Trace(res["exact"].trace, seed=cfg["seed"]), out / "logistic_trace_exact.csv"
+        diag.Trace(res["exact"].trace), out / "logistic_trace_exact.csv"
     )
     for d in res["per_size"]:
         diag.write_trace_csv(
-            diag.Trace(d["result"].trace, seed=cfg["seed"]),
+            diag.Trace(d["result"].trace),
             out / f"logistic_trace_v{d['size']}.csv",
         )
     return 0
@@ -518,7 +525,7 @@ def cmd_gp(cfg: dict, out: Path) -> int:
     )
     trace = run["trace"]
     diag.write_trace_csv(
-        diag.Trace(trace, seed=cfg["seed"]),
+        diag.Trace(trace),
         out / "gp_trace.csv",
         names=["sigma2", "tau2", "phi_index"],
     )
@@ -548,17 +555,7 @@ def cmd_diagnose(cfg: dict, out: Path) -> int:
         raise ValueError("diagnose requires a trace CSV (key 'trace')")
     trace = diag.read_trace_csv(cfg["trace"])
     ess, flags = diag.effective_sample_size(trace)
-    # a coordinate stuck at one value inside a window (e.g. a grid parameter
-    # that never moved) has no Geweke score; report NaN instead of failing
-    z = np.full(trace.p, float("nan"))
-    for j in range(trace.p):
-        try:
-            z[j] = diag.geweke_z(
-                diag.Trace(trace.samples[:, j]), cfg["first_frac"], cfg["last_frac"]
-            )[0]
-        except ValueError as exc:
-            if str(exc) != "window is constant":  # overlapping or too-short windows
-                raise
+    z = diag.geweke_z(trace, cfg["first_frac"], cfg["last_frac"])
     report = diag.phi_max(trace, min(cfg["k_max"], max(trace.t // 10, 1)))
     rows = [
         (j, ess[j], int(flags[j]), z[j]) for j in range(trace.p)

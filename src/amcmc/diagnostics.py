@@ -10,10 +10,14 @@ Estimators over a :class:`Trace` (a t x p matrix of draws in chain order):
   V-statistic);
 * ``geweke_z`` — per-coordinate Geweke z-scores with spectral-density
   variance estimates;
-* ``effective_sample_size`` — per-coordinate ESS with initial-positive-
-  sequence truncation.
+* ``effective_sample_size`` — per-coordinate ESS from the same spectral
+  density.
 
-All estimators are deterministic functions of the trace.
+``phi_max``, ``geweke_z`` and ``effective_sample_size`` all start from one
+autocovariance routine, an FFT over every lag of every column.  The
+spectral density at frequency zero sums those autocovariances by Geyer's
+(1992) initial monotone sequence.  All estimators are deterministic
+functions of the trace.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class Trace:
     """Ordered draws of one chain. Columns are parameter coordinates."""
 
     samples: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=np.float64)
@@ -75,16 +78,19 @@ class PhiMaxReport:
     excluded_coords: list[int] = field(default_factory=list)
 
 
-def _autocorr(x: np.ndarray, k_max: int) -> np.ndarray:
-    """Biased (divide-by-t) sample autocorrelations at lags 1..k_max."""
-    t = len(x)
-    xc = x - x.mean()
-    var = float(xc @ xc) / t
-    if var == 0.0:
-        return np.full(k_max, np.nan)
-    return np.array(
-        [float(xc[: t - k] @ xc[k:]) / t / var for k in range(1, k_max + 1)]
-    )
+def _autocovariance(x: np.ndarray) -> np.ndarray:
+    """Biased (divide-by-t) autocovariances at lags 0..t-1 of each column
+    of the t x p array x, as a t x p array.
+
+    The FFT is zero-padded to 2t, so no lag wraps around.  Columns go
+    through it one at a time, which keeps its temporaries to one column's.
+    """
+    t = x.shape[0]
+    gamma = np.empty(x.shape)
+    for j, col in enumerate(x.T):
+        f = np.fft.rfft(col - col.mean(), 2 * t)
+        gamma[:, j] = np.fft.irfft(f.real**2 + f.imag**2, 2 * t)[:t] / t
+    return gamma
 
 
 def phi_max(trace: Trace, k_max: int = 20) -> PhiMaxReport:
@@ -98,22 +104,14 @@ def phi_max(trace: Trace, k_max: int = 20) -> PhiMaxReport:
     if k_max < 1 or k_max > trace.t // 10:
         raise ValueError("require 1 <= k_max <= t / 10")
     threshold = float(ndtri(0.95 ** (1.0 / k_max))) / np.sqrt(trace.t - k_max)
-    best = None
-    retained: list[tuple[int, int, float]] = []
-    excluded: list[int] = []
-    for j in range(trace.p):
-        rho = _autocorr(trace.samples[:, j], k_max)
-        if np.isnan(rho).any():
-            excluded.append(j)
-            continue
-        for k in range(1, k_max + 1):
-            r = rho[k - 1]
-            if r > threshold:
-                retained.append((j, k, float(r)))
-                cand = r ** (1.0 / k)
-                if best is None or cand > best:
-                    best = float(cand)
-    return PhiMaxReport(best, threshold, retained, excluded)
+    gamma = _autocovariance(trace.samples)
+    constant = gamma[0] == 0.0
+    rho = gamma[1 : k_max + 1] / np.where(constant, np.nan, gamma[0])  # (k_max, p)
+    j, k = np.nonzero(rho.T > threshold)  # retained cells, by coordinate, then lag
+    r = rho[k, j]
+    best = float((r ** (1.0 / (k + 1))).max()) if r.size else None
+    retained = list(zip(j.tolist(), (k + 1).tolist(), r.tolist()))
+    return PhiMaxReport(best, threshold, retained, np.flatnonzero(constant).tolist())
 
 
 def w1_kernel_distance(
@@ -148,27 +146,26 @@ def w1_kernel_distance(
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _spectral_var(x: np.ndarray) -> float:
-    """Spectral density of x at frequency zero, estimated by summing the
-    initial positive sequence of autocovariances."""
-    t = len(x)
-    xc = x - x.mean()
-    gamma0 = float(xc @ xc) / t
-    if gamma0 == 0.0:
-        raise ValueError("window is constant")
-    s = gamma0
-    for k in range(1, t - 1):
-        g = float(xc[: t - k] @ xc[k:]) / t
-        if g <= 0.0:
-            break
-        s += 2.0 * g
-    return s
+def _spectral_var(gamma: np.ndarray) -> np.ndarray:
+    """Spectral density at frequency zero of each column, from its
+    autocovariances ``gamma`` (lags 0..t-1 down the rows), by Geyer's
+    initial monotone sequence: the pair sums G_m = gamma_2m + gamma_2m+1,
+    each lowered to the least of G_0..G_m, summed up to the first G_m <= 0,
+    give S = 2 sum G_m - gamma_0.  S is floored at gamma_0, so an ESS
+    t gamma_0 / S never exceeds t.  NaN for a zero-variance column.
+    """
+    m = gamma.shape[0] // 2
+    pairs = gamma[: 2 * m : 2] + gamma[1 : 2 * m : 2]
+    kept = np.logical_and.accumulate(pairs > 0.0, axis=0)
+    s = 2.0 * np.where(kept, np.minimum.accumulate(pairs, axis=0), 0.0).sum(axis=0) - gamma[0]
+    return np.where(gamma[0] == 0.0, np.nan, np.maximum(s, gamma[0]))
 
 
 def geweke_z(
     trace: Trace, first_frac: float = 0.1, last_frac: float = 0.5
 ) -> np.ndarray:
-    """Per-coordinate Geweke z-scores comparing the first and last windows."""
+    """Per-coordinate Geweke z-scores comparing the first and last windows;
+    NaN for a coordinate that is constant inside either window."""
     if not (0.0 < first_frac < 1.0 and 0.0 < last_frac < 1.0):
         raise ValueError("window fractions must lie in (0, 1)")
     if first_frac + last_frac >= 1.0:
@@ -177,42 +174,23 @@ def geweke_z(
     nb = int(trace.t * last_frac)
     if na < 10 or nb < 10:
         raise ValueError("trace too short for the requested windows")
-    z = np.empty(trace.p)
-    for j in range(trace.p):
-        a = trace.samples[:na, j]
-        b = trace.samples[trace.t - nb :, j]
-        z[j] = (a.mean() - b.mean()) / np.sqrt(
-            _spectral_var(a) / na + _spectral_var(b) / nb
-        )
-    return z
+    a = trace.samples[:na]
+    b = trace.samples[trace.t - nb :]
+    var_a = _spectral_var(_autocovariance(a)) / na
+    var_b = _spectral_var(_autocovariance(b)) / nb
+    return (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt(var_a + var_b)
 
 
 def effective_sample_size(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate ESS t / (1 + 2 sum rho_k), truncating the
-    autocorrelation sum at the first nonpositive value.
+    """Per-coordinate ESS t gamma_0 / S, with S the spectral density at
+    frequency zero by the initial monotone sequence (see ``_spectral_var``).
 
     Returns (ess, constant_flags); constant coordinates report ESS = t
     with their flag set.
     """
-    t = trace.t
-    ess = np.empty(trace.p)
-    flags = np.zeros(trace.p, dtype=bool)
-    for j in range(trace.p):
-        x = trace.samples[:, j]
-        xc = x - x.mean()
-        var = float(xc @ xc) / t
-        if var == 0.0:
-            ess[j] = t
-            flags[j] = True
-            continue
-        acc = 0.0
-        for k in range(1, min(t - 1, 5000)):
-            rho = float(xc[: t - k] @ xc[k:]) / t / var
-            if rho <= 0.0:
-                break
-            acc += rho
-        ess[j] = t / (1.0 + 2.0 * acc)
-    return ess, flags
+    gamma = _autocovariance(trace.samples)
+    flags = gamma[0] == 0.0
+    return np.where(flags, trace.t, trace.t * (gamma[0] / _spectral_var(gamma))), flags
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +203,7 @@ def write_trace_csv(trace: Trace, path: str | Path, names=None) -> None:
     write_csv(path, names, (row.tolist() for row in trace.samples))
 
 
-def read_trace_csv(path: str | Path, seed: int | None = None) -> Trace:
+def read_trace_csv(path: str | Path) -> Trace:
     rows = iter_csv_rows(path)
     next(rows)  # header
-    return Trace(np.array([[float(v) for v in row] for row in rows]), seed=seed)
+    return Trace(np.array([[float(v) for v in row] for row in rows]))

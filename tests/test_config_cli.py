@@ -339,6 +339,13 @@ def test_cli_largest_fstar_keeps_the_l2_bounds_finite(tmp_path):
         (["gp", "--second-branch", "bogus"], "gp"),
         (["gp", "--design", "lattice"], "gp"),
         (["compminimax", "--discrepancy", "kl"], "compminimax"),
+        # --forms keeps the list rule: no empty entry, names from SPEEDUP_FORMS
+        (["compminimax", "--forms", ","], "compminimax"),
+        (["compminimax", "--forms", "linear,cubic"], "compminimax"),
+        # subset sizes are integers in [p + 1, N], checked before any chain runs
+        (["logistic", "--N", "50", "--subset-sizes", "5000,50"], "logistic"),
+        (["logistic", "--subset-sizes", "10.5"], "logistic"),
+        (["logistic", "--p", "5", "--subset-sizes", "5"], "logistic"),
     ],
 )
 def test_cli_parse_error_exits_2_with_json(tmp_path, capsys, argv, subcommand):

@@ -1,12 +1,14 @@
 """Convergence diagnostics: rate estimate, kernel distance, Geweke, ESS."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from amcmc.diagnostics import (
     Trace,
+    _autocovariance,
     effective_sample_size,
     geweke_z,
     phi_max,
@@ -27,6 +29,29 @@ def ar1(rho, t, seed=0, p=1):
     return Trace(x)
 
 
+def dot_product_autocovariance(x):
+    """The lag loop the estimators used before the FFT: divide-by-t
+    autocovariances of the 1-d x at lags 0..t-1, one dot product each."""
+    t = len(x)
+    xc = x - x.mean()
+    return np.array([float(xc[: t - k] @ xc[k:]) / t for k in range(t)])
+
+
+def loop_ess(x):
+    """The ESS loop as it was: t / (1 + 2 sum rho_k), the sum stopped at the
+    first nonpositive rho_k or at lag 5000."""
+    t = len(x)
+    xc = x - x.mean()
+    var = float(xc @ xc) / t
+    acc = 0.0
+    for k in range(1, min(t - 1, 5000)):
+        rho = float(xc[: t - k] @ xc[k:]) / t / var
+        if rho <= 0.0:
+            break
+        acc += rho
+    return t / (1.0 + 2.0 * acc)
+
+
 # ---------------------------------------------------------------------------
 # Trace container
 # ---------------------------------------------------------------------------
@@ -45,6 +70,37 @@ def test_trace_one_dim_promoted_to_column():
     tr = Trace(np.arange(5.0))
     assert tr.samples.shape == (5, 1)
     assert tr.t == 5 and tr.p == 1
+
+
+# ---------------------------------------------------------------------------
+# autocovariance
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [2, 3, 1001])
+def test_autocovariance_matches_dot_product_loop(t):
+    rng = np.random.default_rng(t)
+    x = np.column_stack([np.cumsum(rng.normal(size=t)), rng.normal(size=t), np.full(t, 2.5)])
+    gamma = _autocovariance(x)
+    assert gamma.shape == (t, 3)
+    for j in range(2):
+        want = dot_product_autocovariance(x[:, j])
+        assert np.max(np.abs(gamma[:, j] - want)) <= 1e-12 * want[0]
+    assert np.all(gamma[:, 2] == 0.0)  # a constant column
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_nonpositive_rule_on_fft_autocovariance_is_the_loop_ess(seed):
+    """The old stopping rule applied to the FFT autocovariances gives the old
+    loop's ESS: the routine alone changes ESS only by rounding."""
+    t = 20_000
+    P = two_state_symmetric(0.1 + 0.1 * seed)
+    x = simulate_path(SeededRng(seed), P, FiniteMeasure(np.array([0.5, 0.5])), t).astype(float)
+    gamma = _autocovariance(x[:, None])[:, 0]
+    rho = gamma[1 : min(t - 1, 5000)] / gamma[0]
+    stop = np.flatnonzero(rho <= 0.0)
+    acc = rho[: stop[0] if stop.size else len(rho)].sum()
+    assert t / (1.0 + 2.0 * acc) == pytest.approx(loop_ess(x), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +220,20 @@ def test_geweke_window_validation():
         geweke_z(tr, first_frac=0.0)
 
 
+def test_geweke_columns_match_single_column_calls():
+    """One call over the trace equals one call per column; a column
+    constant inside a window gets NaN, without an error or a warning."""
+    x = ar1(0.5, 5000, seed=10, p=3).samples.copy()
+    x[:500, 1] = 0.7  # constant inside the first window only
+    x[:, 2] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = geweke_z(Trace(x))
+        per_column = [geweke_z(Trace(x[:, j]))[0] for j in range(3)]
+    assert np.isfinite(z[0]) and np.isnan(z[1:]).all()
+    np.testing.assert_allclose(z, per_column, rtol=1e-12, atol=0)
+
+
 def test_ess_iid_near_t():
     rng = np.random.default_rng(5)
     tr = Trace(rng.normal(size=(20_000, 1)))
@@ -187,15 +257,34 @@ def test_ess_constant_coordinate_flagged():
     assert ess[0] == 500
 
 
-def test_two_state_chain_ess():
+@pytest.mark.parametrize("seed", [21, 22, 23])
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.45])
+def test_two_state_chain_ess(seed, a):
     """On the symmetric chain with off-diagonal a, autocorrelations are
-    (1-2a)^k, so ESS/t = a / (1 - a)."""
-    a = 0.25
+    rho^k with rho = 1 - 2a, so ESS/t = (1 - rho) / (1 + rho) = a / (1 - a).
+    The tolerance is 4 standard errors sqrt((4 L + 2) / t) of an
+    autocorrelation sum truncated at lag L, where rho^L falls to the
+    1/sqrt(t) noise floor (Sokal's estimate)."""
+    t = 50_000
+    rho = 1.0 - 2.0 * a
+    lag = math.ceil(0.5 * math.log(t) / math.log(1.0 / rho))
     P = two_state_symmetric(a)
     nu = FiniteMeasure(np.array([0.5, 0.5]))
-    path = simulate_path(SeededRng(21), P, nu, 50_000)
+    path = simulate_path(SeededRng(seed), P, nu, t)
     ess, _ = effective_sample_size(Trace(path.astype(float)))
-    assert ess[0] / 50_000 == pytest.approx(a / (1 - a), abs=0.05)
+    assert ess[0] / t == pytest.approx(a / (1 - a), rel=4.0 * math.sqrt((4 * lag + 2) / t))
+
+
+@pytest.mark.parametrize("t", [10_000, 9_999])
+def test_ess_of_antithetic_paths_is_t(t):
+    """An alternating path and an MA(1) path e_i - e_{i-1} have spectral
+    density near 0 at frequency zero; their ESS stays t, as the old
+    first-nonpositive rule gave."""
+    alternating = np.arange(t) % 2.0
+    e = np.random.default_rng(t).normal(size=t + 1)
+    ess, flags = effective_sample_size(Trace(np.column_stack([alternating, e[1:] - e[:-1]])))
+    assert not flags.any()
+    assert np.array_equal(ess, [t, t])
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +294,10 @@ def test_two_state_chain_ess():
 
 def test_trace_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(9)
-    tr = Trace(rng.normal(size=(100, 3)) * 1e-7, seed=9)
+    tr = Trace(rng.normal(size=(100, 3)) * 1e-7)
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, path, names=["a", "b", "c"])
-    back = read_trace_csv(path, seed=9)
+    back = read_trace_csv(path)
     assert np.array_equal(tr.samples, back.samples)  # repr round-trips floats
     # writing the read-back trace reproduces the file byte for byte
     path2 = tmp_path / "trace2.csv"
