@@ -124,7 +124,9 @@ def randomized_partial_eig(
     added before the Nystrom step.  The returned factor is truncated to
     the smallest rank whose dropped spectral mass keeps the overall
     Frobenius budget, so its trailing directions stay well above the
-    accuracy floor.
+    accuracy floor.  Raises ``ValueError`` when the factor's measured
+    residual still exceeds delta: a delta below the floor that the Nystrom
+    shift sets cannot be met.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -191,6 +193,12 @@ def randomized_partial_eig(
 
     resid = Sigma - (Uf * lam) @ Uf.T
     resid_fro = float(np.linalg.norm(resid))
+    if resid_fro > delta:
+        raise ValueError(
+            f"the rank-{m} factor (n = {n}) misses delta = {delta:.3e}: "
+            f"||Sigma - U Lambda U'||_F = {resid_fro:.3e}; the Nystrom shift "
+            f"1e-12 tr(Sigma) sets a floor near that"
+        )
     return LowRankFactor(Uf, lam, delta, d_prob, resid_fro, full_rank)
 
 

@@ -250,6 +250,15 @@ def test_cli_gp_epsilon_retarget(tmp_path):
     assert metrics["delta"] != 0.001  # retargeted away from the default
 
 
+
+def test_cli_gp_delta_below_the_floor_exits_2_with_json(tmp_path, capsys):
+    argv = ["gp", "--out", str(tmp_path), "--n", "500", "--q", "6", "--design", "normal",
+            "--phi-true", "0.1", "--delta", "1e-10", "--steps", "2", "--burn-in", "0"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["subcommand"] == "gp" and "misses delta = 1.000e-10" in err["error"]
+    assert not (tmp_path / "manifest.json").exists()
+
 def test_cli_diagnose_roundtrip(tmp_path):
     run_dir = tmp_path / "gp"
     main(["gp", "--out", str(run_dir), "--seed", "4", "--n", "40", "--steps", "120", "--burn-in", "10"])

@@ -17,7 +17,14 @@ from amcmc.diagnostics import (
     write_trace_csv,
 )
 from amcmc.distributions import SeededRng
-from amcmc.finite_chain import FiniteMeasure, simulate_path, two_state_symmetric
+from amcmc.finite_chain import (
+    FiniteKernel,
+    FiniteMeasure,
+    exact_autocovariance,
+    invariant_measure,
+    simulate_path,
+    two_state_symmetric,
+)
 
 
 def ar1(rho, t, seed=0, p=1):
@@ -274,6 +281,29 @@ def test_two_state_chain_ess(seed, a):
     ess, _ = effective_sample_size(Trace(path.astype(float)))
     assert ess[0] / t == pytest.approx(a / (1 - a), rel=4.0 * math.sqrt((4 * lag + 2) / t))
 
+
+@pytest.mark.parametrize("states, seed", [(3, 41), (4, 42), (5, 43), (5, 44)])
+def test_ess_matches_exact_autocovariances_on_random_kernels(states, seed):
+    """A random reversible kernel, made lazy so its spectrum lies in [0, 1],
+    and a random function f of the state: the exact ESS is
+    t gamma_0 / (gamma_0 + 2 sum_k gamma_k), with gamma_k from
+    ``exact_autocovariance`` summed until rho_2^k falls below 1e-16.  The
+    estimate on a stationary path of length t must lie within 4 Sokal
+    standard errors sqrt((4 L + 2) / t), L the lag where rho_2^L reaches
+    1/sqrt(t), rho_2 the second-largest eigenvalue."""
+    t = 50_000
+    gen = np.random.default_rng(seed)
+    W = gen.uniform(0.1, 1.0, size=(states, states))
+    W += W.T
+    P = FiniteKernel(0.5 * (np.eye(states) + W / W.sum(axis=1, keepdims=True)))
+    f = gen.normal(size=states)
+    rho = np.sort(np.abs(np.linalg.eigvals(P.matrix)))[-2]
+    gamma = [exact_autocovariance(P, f, k) for k in range(math.ceil(math.log(1e-16) / math.log(rho)))]
+    exact = t * gamma[0] / (gamma[0] + 2.0 * sum(gamma[1:]))
+    path = simulate_path(SeededRng(seed), P, invariant_measure(P), t)
+    ess, _ = effective_sample_size(Trace(f[path][:, None]))
+    lag = math.ceil(0.5 * math.log(t) / math.log(1.0 / rho))
+    assert ess[0] == pytest.approx(exact, rel=4.0 * math.sqrt((4 * lag + 2) / t))
 
 @pytest.mark.parametrize("t", [10_000, 9_999])
 def test_ess_of_antithetic_paths_is_t(t):

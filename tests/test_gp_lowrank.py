@@ -97,13 +97,26 @@ def test_range_finder_keeps_its_basis_orthonormal(phi, optimum):
 
 def test_range_finder_stops_when_a_block_adds_no_direction():
     """Below the rounding floor no probe estimate meets delta; the search
-    ends when a block brings no direction the basis lacks."""
+    ends when a block brings no direction the basis lacks, and the rank-2
+    factor it ends with is refused, since it misses delta."""
     rng = np.random.default_rng(5)
     V = np.linalg.qr(rng.normal(size=(60, 2)))[0]
     S = (V * np.array([3.0, 1.0])) @ V.T
-    fac = randomized_partial_eig(SeededRng(6), S, 1e-300)
-    assert fac.r == 2 and not fac.full_rank
-    assert fac.lam == pytest.approx([3.0, 1.0], abs=1e-10)
+    with pytest.raises(ValueError, match=r"rank-2 factor \(n = 60\) misses delta = 1\.000e-300"):
+        randomized_partial_eig(SeededRng(6), S, 1e-300)
+
+
+def test_factor_below_its_floor_is_refused():
+    """At n = 500 (normal design, q = 6) the Nystrom shift holds the
+    residual near 2.2e-8: delta = 1e-10 cannot be met, and no factor is
+    returned.  delta = 1e-6 is met and returned."""
+    X, _, _ = simulate_gp(SeededRng(501, 0), 500, 6, 0.1, 0.25, 1.0, "normal")
+    S = se_covariance(X, 0.1)
+    with pytest.raises(ValueError, match="misses delta = 1.000e-10"):
+        randomized_partial_eig(SeededRng(1), S, 1e-10)
+    fac = randomized_partial_eig(SeededRng(1), S, 1e-6)
+    assert fac.resid_fro <= 1e-6
+    assert np.linalg.norm(S - (fac.U * fac.lam) @ fac.U.T) <= 1e-6
 
 
 def test_factor_rejects_bad_delta():

@@ -15,6 +15,7 @@ from amcmc.mixture import (
     ContingencyData,
     MixturePriors,
     MixtureState,
+    _allocate,
     approx_multinomial_draw,
     cell_probability,
     gaussnmin_threshold,
@@ -344,8 +345,10 @@ class _PerCellSweep:
         w = np.exp(logw)
         return w / w.sum()
 
-    def mvn(self, gen, mean, cov):
-        cov = 0.5 * (cov + cov.T)
+    def root(self, n_c, nu_h):
+        """A root of the covariance n_c (diag nu_h - nu_h nu_h'): its
+        Cholesky factor, or where that fails the symmetric root from eigh."""
+        cov = n_c * (np.diag(nu_h) - np.outer(nu_h, nu_h))
         try:
             root = np.linalg.cholesky(cov)
             self.hits["cholesky"] += 1
@@ -353,19 +356,14 @@ class _PerCellSweep:
             self.hits["eigh"] += 1
             vals, vecs = np.linalg.eigh(cov)
             root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-        return mean + root @ gen.standard_normal(size=len(mean))
+        return root
 
-    def draw(self, gen, n_c, nu_tilde, n_min):
-        K = len(nu_tilde)
-        H = np.where(n_c * nu_tilde > n_min)[0]
-        if len(H) == 0:
-            self.hits["exact cell"] += 1
-            return _sequential_binomial_multinomial(gen, n_c, nu_tilde)
+    def rounded_gaussian(self, n_c, nu_h, z):
+        """The classes H of a Gaussian cell from the standard normals z:
+        rounded, clamped at zero, the excess over n_c trimmed from the
+        largest entries."""
         self.hits["gaussian cell"] += 1
-        if len(H) == K:
-            self.hits["|H| = K"] += 1
-        nu_h = nu_tilde[H]
-        w = self.mvn(gen, n_c * nu_h, n_c * (np.diag(nu_h) - np.outer(nu_h, nu_h)))
+        w = n_c * nu_h + self.root(n_c, nu_h) @ z
         z_h = np.rint(w).astype(np.int64)
         np.maximum(z_h, 0, out=z_h)
         excess = int(z_h.sum()) - n_c
@@ -376,6 +374,14 @@ class _PerCellSweep:
             take = min(excess, int(z_h[i]))
             z_h[i] -= take
             excess -= take
+        return z_h
+
+    def complete(self, gen, n_c, nu_tilde, H, z_h):
+        """A Gaussian cell's allocation: z_h on H and the remainder drawn
+        over the other classes."""
+        K = len(nu_tilde)
+        if len(H) == K:
+            self.hits["|H| = K"] += 1
         z = np.zeros(K, dtype=np.int64)
         z[H] = z_h
         remainder = n_c - int(z_h.sum())
@@ -391,12 +397,30 @@ class _PerCellSweep:
                     z[comp[0]] += remainder
             else:
                 self.hits["remainder, empty complement"] += 1
-                z[H[int(np.argmax(nu_h))]] += remainder
+                z[H[int(np.argmax(nu_tilde[H]))]] += remainder
         return z
+
+    def exact(self, gen, n_c, nu_tilde):
+        self.hits["exact cell"] += 1
+        return _sequential_binomial_multinomial(gen, n_c, nu_tilde)
+
+    def draw(self, gen, n_c, nu_tilde, n_min):
+        """One cell's allocation, its normals drawn just before its
+        multinomial."""
+        H = np.where(n_c * nu_tilde > n_min)[0]
+        if len(H) == 0:
+            return self.exact(gen, n_c, nu_tilde)
+        z_h = self.rounded_gaussian(n_c, nu_tilde[H], gen.standard_normal(size=len(H)))
+        return self.complete(gen, n_c, nu_tilde, H, z_h)
+
+    def allocate(self, gen, counts, probs, n_min):
+        return [self.draw(gen, n_c, nu, n_min) for n_c, nu in zip(counts, probs)]
 
     def sweep(self, gen, state, data, priors, n_min):
         K, p, d = data.K, data.p, data.d
-        Z = {c: self.draw(gen, data.cells[c], self.class_probs(state, c), n_min) for c in sorted(data.cells)}
+        cells = sorted(data.cells)
+        counts = [data.cells[c] for c in cells]
+        Z = dict(zip(cells, self.allocate(gen, counts, [self.class_probs(state, c) for c in cells], n_min)))
         class_tot = np.zeros(K)
         margins = np.zeros((p, K, d))
         for c, z in Z.items():
@@ -409,6 +433,31 @@ class _PerCellSweep:
                 lam[j, h] = self.dirichlet(gen, priors.a + margins[j, h])
         nu = self.dirichlet(gen, priors.alpha + class_tot)
         return MixtureState(nu, lam, Z)
+
+
+class _TwoPassSweep(_PerCellSweep):
+    """The per-cell sweeps in the batched allocation's variate order: the
+    standard normals of every Gaussian cell first, cell by cell in one
+    call, then one multinomial per cell in cell order."""
+
+    def root(self, n_c, nu_h):
+        """sqrt(n_c) (diag(r) - c nu_h r'), r = sqrt(nu_h) and
+        c = 1 / (1 + sqrt(1 - sum nu_h))."""
+        r = np.sqrt(nu_h)
+        c = 1.0 / (1.0 + math.sqrt(max(1.0 - nu_h.sum(), 0.0)))
+        return math.sqrt(n_c) * (np.diag(r) - c * np.outer(nu_h, r))
+
+    def allocate(self, gen, counts, probs, n_min):
+        H = [np.where(n_c * nu > n_min)[0] for n_c, nu in zip(counts, probs)]
+        sizes = [len(h) for h in H]
+        normals = np.split(gen.standard_normal(size=sum(sizes)), np.cumsum(sizes)[:-1])
+        Z = []
+        for n_c, nu, h, z in zip(counts, probs, H, normals):
+            if len(h) == 0:
+                Z.append(self.exact(gen, n_c, nu))
+            else:
+                Z.append(self.complete(gen, n_c, nu, h, self.rounded_gaussian(n_c, nu[h], z)))
+        return Z
 
 
 def _assert_same_state(a, b):
@@ -463,9 +512,11 @@ _SWEEP_CASES = [
 
 
 def test_batched_sweeps_match_per_cell_sweeps_bit_for_bit():
-    """Five chained sweeps per case; together the cases reach every branch
-    of the per-cell code."""
-    ref = _PerCellSweep()
+    """Five chained sweeps per case: the exact sweep against the per-cell
+    loop, the approximate sweeps against the same loop in the batched
+    variate order.  Together the cases reach every branch of the per-cell
+    code."""
+    per_cell, two_pass = _PerCellSweep(), _TwoPassSweep()
     for (p, d, K, N), priors, n_min, zero_classes in _SWEEP_CASES:
         data, *_ = simulate_contingency(SeededRng(11, 0), p=p, d=d, K=K, N=N)
         state = init_state(SeededRng(11, 1), data, MixturePriors())
@@ -477,21 +528,22 @@ def test_batched_sweeps_match_per_cell_sweeps_bit_for_bit():
         for _ in range(5):
             if math.isinf(n_min):
                 new = gibbs_step_exact(new_rng, new, data, priors)
+                old = per_cell.sweep(ref_rng._gen, old, data, priors, n_min)
             else:
                 new = gibbs_step_approx(new_rng, new, data, priors, n_min)
-            old = ref.sweep(ref_rng._gen, old, data, priors, n_min)
+                old = two_pass.sweep(ref_rng._gen, old, data, priors, n_min)
             _assert_same_state(new, old)
         assert new_rng.uniform() == ref_rng.uniform()
+    assert set(per_cell.hits) == {"exact cell"}
     want = {
-        "exact cell", "gaussian cell", "cholesky", "eigh", "|H| = K", "excess trim",
-        "complement draw", "zero complement mass", "remainder, empty complement",
-        "dirichlet zero total",
+        "exact cell", "gaussian cell", "|H| = K", "excess trim", "complement draw",
+        "zero complement mass", "remainder, empty complement", "dirichlet zero total",
     }
-    assert want <= set(ref.hits), want - set(ref.hits)
+    assert want <= set(two_pass.hits), want - set(two_pass.hits)
 
 
 def test_approx_draw_and_class_probs_match_per_cell_code():
-    ref = _PerCellSweep()
+    ref = _TwoPassSweep()
     gen = np.random.default_rng(5)
     for i in range(200):
         K = int(gen.integers(1, 6))
@@ -499,11 +551,113 @@ def test_approx_draw_and_class_probs_match_per_cell_code():
         n_c = int(gen.choice([1, 10, 100, 5000]))
         n_min = float(gen.choice([0.0, 5.0, 50.0, math.inf]))
         got = approx_multinomial_draw(SeededRng(i), n_c, nu, n_min)
-        assert np.array_equal(got, ref.draw(SeededRng(i)._gen, n_c, nu, n_min))
+        assert np.array_equal(got, ref.allocate(SeededRng(i)._gen, [n_c], [nu], n_min)[0])
+    # whole tables, cells of every kind mixed
+    for i in range(100):
+        K, cells = int(gen.integers(1, 6)), int(gen.integers(1, 30))
+        counts = gen.choice([1, 3, 10, 100, 5000], size=cells)
+        probs = gen.dirichlet(np.full(K, 0.5), size=cells)
+        n_min = float(gen.choice([0.0, 5.0, 50.0]))
+        rng, ref_rng = SeededRng(100 + i), SeededRng(100 + i)
+        got = _allocate(rng, counts, probs, n_min)
+        assert np.array_equal(got, ref.allocate(ref_rng._gen, counts, probs, n_min))
+        assert rng.uniform() == ref_rng.uniform()
     _, nu, lam, _ = simulate_contingency(SeededRng(6), p=3, d=4, K=3, N=10)
     state = MixtureState(nu, lam, {})
     for cell in [(0, 0, 0), (3, 1, 2), (2, 3, 3)]:
         assert np.array_equal(latent_class_probs(state, cell), ref.class_probs(state, cell))
+
+
+def test_batched_draw_has_the_law_of_the_per_cell_draw():
+    """Per (cell, class), the mean and variance of 6000 batched draws match
+    those of 6000 draws of the per-cell code they replaced, as z-scores
+    within 4.5 (30 scores).  The cells are exact, Gaussian on one or two
+    classes, and Gaussian on every class."""
+    counts = np.array([5, 40, 200, 400, 3000])
+    probs = np.array([
+        [0.3, 0.3, 0.4], [0.7, 0.2, 0.1], [0.6, 0.35, 0.05], [0.5, 0.3, 0.2], [0.9, 0.098, 0.002],
+    ])
+    n_min, R = 20.0, 6000
+    batched = _allocate(SeededRng(31), np.tile(counts, R), np.tile(probs, (R, 1)), n_min)
+    batched = batched.reshape(R, len(counts), 3)
+    gen, ref = SeededRng(32)._gen, _PerCellSweep()
+    per_cell = np.array([[ref.draw(gen, n, nu, n_min) for n, nu in zip(counts, probs)] for _ in range(R)])
+    assert {"exact cell", "complement draw", "|H| = K"} <= set(ref.hits)
+    moments = []
+    for x in (batched, per_cell):
+        assert np.all(x >= 0) and np.array_equal(x.sum(axis=2), np.broadcast_to(counts, (R, len(counts))))
+        dev = x - x.mean(axis=0)
+        var = (dev**2).mean(axis=0)
+        moments.append((x.mean(axis=0), var, (dev**4).mean(axis=0) - var**2))
+    (m1, v1, k1), (m2, v2, k2) = moments
+    z_mean = (m1 - m2) / np.sqrt((v1 + v2) / R)
+    z_var = (v1 - v2) / np.sqrt((k1 + k2) / R)
+    assert np.abs(z_mean).max() < 4.5, z_mean
+    assert np.abs(z_var).max() < 4.5, z_var
+
+
+def test_closed_form_root_squares_to_the_multinomial_covariance():
+    """R R' = n (diag nu_H - nu_H nu_H') for the root the batched draw uses,
+    to 1e-12 n: H a strict subset of the classes, H every class (the
+    singular covariance, sum nu_H = 1), one class, and tiny weights."""
+    gen = np.random.default_rng(8)
+    cases = [np.array([1.0]), np.array([1e-9]), np.array([0.5, 0.5]), np.array([1e-12, 1 - 1e-12])]
+    for K in (2, 3, 5, 8):
+        nu = gen.dirichlet(np.ones(K))
+        cases += [nu, nu[: K - 1], nu[::2]]
+    for nu_h in cases:
+        for n_c in (1, 57, 5000):
+            R = _TwoPassSweep().root(n_c, nu_h)
+            cov = n_c * (np.diag(nu_h) - np.outer(nu_h, nu_h))
+            assert np.abs(R @ R.T - cov).max() <= 1e-12 * n_c, (nu_h, n_c)
+
+
+@st.composite
+def allocation_tables(draw):
+    """Up to 8 cells over K <= 6 classes, counts 1..5000; each class is
+    zero in every cell with probability 1/4 and the others draw their
+    weights per cell."""
+    K = draw(st.integers(1, 6))
+    cells = draw(st.integers(1, 8))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
+    zero &= np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
+    zero[draw(st.integers(0, K - 1))] = False
+    counts = np.array(draw(st.lists(st.integers(1, 5000), min_size=cells, max_size=cells)))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=cells * K, max_size=cells * K)))
+    w = np.where(zero, 0.0, w.reshape(cells, K))
+    return counts, w / w.sum(axis=1, keepdims=True)
+
+
+@given(table=allocation_tables(), n_min=st.floats(0.0, 100.0), seed=st.integers(0, 2**16 - 1))
+@settings(max_examples=200, deadline=None)
+def test_allocate_rows_hold_their_counts_and_h_its_gaussian_draw(table, n_min, seed):
+    counts, probs = table
+    Z = _allocate(SeededRng(seed), counts, probs, n_min)
+    assert Z.shape == probs.shape and Z.dtype == np.int64
+    assert np.all(Z >= 0) and np.array_equal(Z.sum(axis=1), counts)
+    # the normals come first: rebuild each Gaussian cell's rounded draw
+    H = counts[:, None] * probs > n_min
+    normals = iter(SeededRng(seed)._gen.standard_normal(int(H.sum())))
+    ref = _TwoPassSweep()
+    for z, n_c, nu, h in zip(Z, counts, probs, H):
+        if not h.any():
+            continue
+        z_h = ref.rounded_gaussian(n_c, nu[h], np.array([next(normals) for _ in range(h.sum())]))
+        if h.all():
+            # no class outside H: the remainder goes to the most probable
+            z_h[np.argmax(nu)] += n_c - z_h.sum()
+        assert np.array_equal(z[h], z_h), (z, z_h, h)
+
+
+@pytest.mark.parametrize("n_min", [0.0, 50.0, math.inf])
+def test_allocate_on_an_empty_table(n_min):
+    Z = _allocate(SeededRng(0), np.zeros(0, dtype=np.int64), np.zeros((0, 4)), n_min)
+    assert Z.shape == (0, 4) and Z.dtype == np.int64
+    # an empty ramp step sweeps the empty prefix of a table
+    data, priors, _ = _small_setup()
+    empty = data.prefix(0)
+    state = gibbs_step_approx(SeededRng(1), init_state(SeededRng(2), data, priors), empty, priors, n_min)
+    assert state.Z == {} and state.nu.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
