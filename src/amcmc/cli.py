@@ -127,17 +127,21 @@ MINIMUMS = {
     "burn_in": 0,
     "top_cells": 1,
     "audit_every": 0,
-    "d_prob": 0,
     "phi_grid_size": 1,
     "k_max": 1,
 }
 
 
-#: Accepted interval of each float setting (every entry of a list setting).
-#: A parenthesis excludes its end, so NaN and the infinities never pass.
-#: Budgets stop at 1e15 steps, so every path length floor(s(eps) tau) fits an
-#: int64.  fstar stops at 1e150, so f^2 and the L2 bounds' constants (up to
-#: 8 f^2) stay finite; alpha starts at 1e-150, so alpha^2 stays nonzero.
+#: Accepted interval of each float setting (every entry of a list setting),
+#: and of d_prob.  A parenthesis excludes its end, so NaN and the infinities
+#: never pass.  Budgets stop at 1e15 steps, so every path length
+#: floor(s(eps) tau) fits an int64.  fstar stops at 1e150, so f^2 and the L2
+#: bounds' constants (up to 8 f^2) stay finite; alpha starts at 1e-150, so
+#: alpha^2 stays nonzero.  phi_true stops at 1e300, so the top of the phi
+#: grid, 4 phi_true, stays finite.  The GP variances lie in [1e-150, 1e150],
+#: so the powers and products in delta_for_epsilon neither overflow nor
+#: vanish, and y'y stays finite.  d_prob stops at 300, so the failure level
+#: 10^-d_prob stays a normal double and the probe safety factor stays finite.
 INTERVALS = {
     "alpha": "[1e-150, 1)",
     "epsilon": "[0, 1]",
@@ -153,10 +157,11 @@ INTERVALS = {
     "prior_a": "(0, inf)",
     "subset_sizes": "[1, inf)",
     "prior_var": "(0, inf)",
-    "phi_true": "(0, inf)",
-    "sigma2_true": "(0, inf)",
-    "tau2_true": "(0, inf)",
+    "phi_true": "(0, 1e300]",
+    "sigma2_true": "[1e-150, 1e150]",
+    "tau2_true": "[1e-150, 1e150]",
     "delta": "(0, inf)",
+    "d_prob": "[0, 300]",
     "first_frac": "(0, 1)",
     "last_frac": "(0, 1)",
 }
@@ -436,7 +441,7 @@ def run_logistic_experiment(cfg: dict) -> dict:
 
     per_size = []
     for k, size in enumerate(int(s) for s in sizes):
-        policy = pg.SubsetPolicy(mode="fixed", size=size)
+        policy = pg.SubsetPolicy(size=size)
         res = pg.run_chain(
             SeededRng(cfg["seed"], stream=1),
             data,

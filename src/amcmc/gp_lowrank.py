@@ -45,6 +45,14 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+#: Range finder: Gaussian columns per basis block, extra columns after the
+#: certificate, and probes per residual estimate.
+_BLOCK, _OVERSAMPLE, _N_PROBES = 8, 10, 10
+
+#: Initial random-walk scale on (log sigma^2, log tau^2), and the acceptance
+#: rate its burn-in adaptation aims at.
+_PROP_SCALE, _TARGET_ACCEPT = 0.2, 0.3
+
 
 @dataclass(frozen=True)
 class GPModel:
@@ -107,20 +115,14 @@ def se_covariance(X: np.ndarray, phi: float) -> np.ndarray:
 
 
 def randomized_partial_eig(
-    rng: SeededRng,
-    Sigma: np.ndarray,
-    delta: float,
-    d_prob: int = 3,
-    block: int = 8,
-    oversample: int = 10,
-    n_probes: int = 10,
+    rng: SeededRng, Sigma: np.ndarray, delta: float, d_prob: int = 3
 ) -> LowRankFactor:
     """Adaptive randomized range finder + Nystrom eigendecomposition.
 
-    The basis grows in blocks of ``block`` columns until the probe-based
+    The basis grows in blocks of ``_BLOCK`` columns until the probe-based
     estimate of ||(I - QQ')Sigma||_F certifies half the delta target at
     confidence 1 - 10^{-d_prob} (chi-square lower-tail safety factor on
-    ``n_probes`` Gaussian probes), then ``oversample`` extra columns are
+    ``_N_PROBES`` Gaussian probes), then ``_OVERSAMPLE`` extra columns are
     added before the Nystrom step.  The returned factor is truncated to
     the smallest rank whose dropped spectral mass keeps the overall
     Frobenius budget, so its trailing directions stay well above the
@@ -130,12 +132,15 @@ def randomized_partial_eig(
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    if not np.isfinite(Sigma).all():
+        raise ValueError("Sigma must be finite")
     n = Sigma.shape[0]
-    # certify against delta/2 so the Nystrom reconstruction keeps slack
-    target2 = (delta / 2.0) ** 2
-    # mean of n_probes one-probe estimators; worst-case (rank-1 residual)
-    # lower tail is chi2(n_probes)/n_probes; its quantile is 2 P^-1(k/2, q)
-    safety = n_probes / (2 * gammaincinv(n_probes / 2, 10.0 ** (-d_prob)))
+    # certify against delta/2 so the Nystrom reconstruction keeps slack;
+    # the square overflows a double past delta = 2.68e154
+    target2 = (delta / 2.0) ** 2 if delta < 2.68e154 else math.inf
+    # mean of _N_PROBES one-probe estimators; worst-case (rank-1 residual)
+    # lower tail is chi2(_N_PROBES)/_N_PROBES; its quantile is 2 P^-1(k/2, q)
+    safety = _N_PROBES / (2 * gammaincinv(_N_PROBES / 2, 10.0 ** (-d_prob)))
     # the scale of Sigma's spectrum: trace(Sigma) >= ||Sigma||_2 for a PSD
     # Sigma.  A projected column below 1e-12 of it is rounding noise.
     scale = max(1.0, float(np.trace(Sigma)))
@@ -162,14 +167,13 @@ def randomized_partial_eig(
         k += m
         return Qb.shape[1]
 
-    while extend(block) and k < n:
-        W = rng.normal(size=(n, n_probes))
+    while extend(_BLOCK) and k < n:
+        W = rng.normal(size=(n, _N_PROBES))
         R = Sigma @ W
         R -= Q[:, :k] @ (Q[:, :k].T @ R)
-        est_f2 = float(np.einsum("ij,ij->", R, R)) / n_probes
+        est_f2 = float(np.einsum("ij,ij->", R, R)) / _N_PROBES
         if est_f2 * safety <= target2:
-            if oversample > 0:
-                extend(oversample)
+            extend(_OVERSAMPLE)
             break
     full_rank = k == n
     Q = Q[:, :k]
@@ -303,15 +307,13 @@ def mh_griddy_step(
     state: GPState,
     model: GPModel,
     factors: list[LowRankFactor],
-    prop_scale: float = 0.2,
-    projections: list[Projection] | None = None,
+    projections: list[Projection],
+    prop_scale: float,
 ) -> tuple[GPState, bool]:
     """One joint random-walk MH update of (log sigma^2, log tau^2) followed
     by a griddy-Gibbs draw of phi from its exact discrete conditional.
-    ``projections`` holds ``_project(model.y, f)`` for each factor, when the
-    caller has them already."""
-    if projections is None:
-        projections = [_project(model.y, f) for f in factors]
+    ``projections`` holds ``_project(model.y, f)`` for each factor, formed
+    once for the chain."""
     factor, proj = factors[state.phi_index], projections[state.phi_index]
     x = math.log(state.sigma2)
     z = math.log(state.tau2)
@@ -336,13 +338,12 @@ def mh_griddy_step(
 
 
 def predictive_mean(
-    state: GPState, factor: LowRankFactor, y: np.ndarray, proj: Projection | None = None
+    state: GPState, factor: LowRankFactor, y: np.ndarray, proj: Projection
 ) -> np.ndarray:
-    """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.  ``proj`` is as
-    in :func:`marginal_loglik`."""
+    """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.  ``proj`` is
+    ``_project(y, factor)``."""
     d = 1.0 / (state.tau2 * factor.lam + state.sigma2) - 1.0 / state.sigma2
-    y_u = factor.U.T @ y if proj is None else proj[0]
-    return factor.U @ (d * y_u) + y / state.sigma2
+    return factor.U @ (d * proj[0]) + y / state.sigma2
 
 
 def predictive_f_draw(
@@ -350,10 +351,10 @@ def predictive_f_draw(
     state: GPState,
     factor: LowRankFactor,
     y: np.ndarray,
-    proj: Projection | None = None,
+    proj: Projection,
 ) -> np.ndarray:
     """Draw f ~ N(Psi y, Psi) using the eigen-identity for Psi and its
-    symmetric square root.  ``proj`` is as in :func:`marginal_loglik`."""
+    symmetric square root.  ``proj`` is ``_project(y, factor)``."""
     mean = predictive_mean(state, factor, y, proj)
     z = rng.normal(size=len(y))
     sig = math.sqrt(state.sigma2)
@@ -395,23 +396,13 @@ class GPSampler:
     """Precomputes one factor per phi-grid point, then runs the marginal
     chain with burn-in-only Robbins-Monro adaptation of the proposal."""
 
-    def __init__(
-        self,
-        rng: SeededRng,
-        model: GPModel,
-        delta: float,
-        d_prob: int = 3,
-        prop_scale: float = 0.2,
-        target_accept: float = 0.3,
-    ):
+    def __init__(self, rng: SeededRng, model: GPModel, delta: float, d_prob: int = 3):
         self.model = model
         self.delta = delta
         self.factors = [
             randomized_partial_eig(rng, se_covariance(model.X, phi), delta, d_prob)
             for phi in model.phi_grid
         ]
-        self.prop_scale = prop_scale
-        self.target_accept = target_accept
 
     @property
     def mean_rank(self) -> float:
@@ -428,7 +419,7 @@ class GPSampler:
         if steps < 1 or burn_in < 0:
             raise ValueError(f"need steps >= 1 and burn_in >= 0, got {steps} and {burn_in}")
         state = init or GPState(1.0, 1.0, len(self.factors) // 2)
-        scale = self.prop_scale
+        scale = _PROP_SCALE
         n_accept = 0
         trace = np.empty((steps, 3))
         pred_sum = np.zeros(self.model.n)
@@ -437,14 +428,14 @@ class GPSampler:
         projections = [_project(self.model.y, f) for f in self.factors]
         for i in range(burn_in + steps):
             state, accepted = mh_griddy_step(
-                rng, state, self.model, self.factors, scale, projections
+                rng, state, self.model, self.factors, projections, scale
             )
             if i < burn_in:
                 # Robbins-Monro on the log proposal scale, burn-in only
                 scale = math.exp(
                     math.log(scale)
                     + (1.0 if accepted else 0.0) / (i + 1) ** 0.6
-                    - self.target_accept / (i + 1) ** 0.6
+                    - _TARGET_ACCEPT / (i + 1) ** 0.6
                 )
                 scale = min(max(scale, 1e-3), 5.0)
             else:

@@ -88,19 +88,13 @@ class PGState:
 
 @dataclass(frozen=True)
 class SubsetPolicy:
-    """Fixed-|V| or adaptive subset sizing."""
+    """Fixed subset size |V|."""
 
-    mode: str = "fixed"  # "fixed" | "adaptive"
-    size: int | None = None
-    epsilon: float = 0.1
-    C: float = 1.0
-    M: float = 2.0
+    size: int
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError("mode must be 'fixed' or 'adaptive'")
-        if self.mode == "fixed" and (self.size is None or self.size < 1):
-            raise ValueError("fixed policy needs a positive size")
+        if self.size < 1:
+            raise ValueError("subset size must be positive")
 
 
 def _precision_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -111,7 +105,12 @@ def _precision_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
         raise ValueError(f"precision matrix not PD: {exc}") from exc
 
 
-def _prior_terms(b: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+#: (B^{-1}, B^{-1} b): all a step needs of the prior.  Both are fixed for a
+#: chain.
+Prior = tuple[np.ndarray, np.ndarray]
+
+
+def _prior_terms(b: np.ndarray, B: np.ndarray) -> Prior:
     """B^{-1} and B^{-1} b, constant over a chain."""
     B_inv = np.linalg.inv(B)
     return B_inv, B_inv @ b
@@ -137,43 +136,27 @@ def _draw_beta(
     return mean + solve_triangular(factor[0], z, lower=True, trans="T")
 
 
-def gibbs_step_exact(
-    rng: SeededRng,
-    state: PGState,
-    data: LogisticData,
-    b: np.ndarray,
-    B: np.ndarray,
-    prior: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PGState:
+def gibbs_step_exact(rng: SeededRng, state: PGState, data: LogisticData, prior: Prior) -> PGState:
     """Full-data PG sweep: all omega_i, then beta from its Gaussian
-    conditional.  ``prior`` is ``_prior_terms(b, B)``, when the caller has
-    formed it once for the chain."""
-    B_inv, shift = _prior_terms(b, B) if prior is None else prior
+    conditional.  ``prior`` is ``_prior_terms(b, B)``, formed once for the
+    chain."""
+    B_inv, shift = prior
     omega = np.asarray(sample_polya_gamma(rng, data.X @ state.beta))
     beta = _draw_beta(rng, data.X, omega, 1.0, B_inv, data.Xt_kappa + shift)
     return PGState(beta, omega, np.arange(data.N))
 
 
 def gibbs_step_subset(
-    rng: SeededRng,
-    state: PGState,
-    data: LogisticData,
-    b: np.ndarray,
-    B: np.ndarray,
-    policy: SubsetPolicy,
-    prior: tuple[np.ndarray, np.ndarray] | None = None,
+    rng: SeededRng, state: PGState, data: LogisticData, prior: Prior, policy: SubsetPolicy
 ) -> PGState:
     """Subset-covariance PG sweep.
 
     The subset is uniform without replacement and redrawn every step; when
-    the requested size equals N the subset draw is skipped entirely so the
+    the requested size reaches N the subset draw is skipped entirely so the
     step consumes exactly the randomness, and does exactly the arithmetic,
     of the exact sweep.  ``prior`` is as in :func:`gibbs_step_exact`.
     """
-    B_inv = _prior_terms(b, B)[0] if prior is None else prior[0]
-    size = policy.size if policy.mode == "fixed" else _adaptive_size(state, data, policy)
-    if size is None or size > data.N:
-        size = data.N
+    size = min(policy.size, data.N)
     if size < data.p + 1:
         raise ValueError(f"subset size {size} below p + 1 = {data.p + 1}")
     if size == data.N:
@@ -182,18 +165,8 @@ def gibbs_step_subset(
         rows = np.sort(rng.permutation(data.N)[:size])
         Xr = data.X[rows]
     omega = np.asarray(sample_polya_gamma(rng, Xr @ state.beta))
-    beta = _draw_beta(rng, Xr, omega, data.N / size, B_inv, data.Xt_kappa)
+    beta = _draw_beta(rng, Xr, omega, data.N / size, prior[0], data.Xt_kappa)
     return PGState(beta, omega, rows)
-
-
-def _adaptive_size(state: PGState, data: LogisticData, policy: SubsetPolicy) -> int:
-    rows = state.subset
-    scaled = (data.X[rows].T * state.omega) @ data.X[rows] / len(rows)
-    vals = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    return adaptive_subset_size(
-        lam_min, lam_max, data.p, policy.epsilon, data.N, C=policy.C, M=policy.M
-    )
 
 
 def gaussian_kl(m1, S1, m2, S2) -> float:
@@ -285,9 +258,9 @@ def run_chain(
     audit_tv: list[float] = []
     for i in range(burn_in + steps):
         if policy is None:
-            state = gibbs_step_exact(rng, state, data, b, B, prior)
+            state = gibbs_step_exact(rng, state, data, prior)
         else:
-            state = gibbs_step_subset(rng, state, data, b, B, policy, prior)
+            state = gibbs_step_subset(rng, state, data, prior, policy)
             if audit_every and (i % audit_every == 0):
                 if audit_rng is None:
                     raise ValueError("auditing requires audit_rng")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcmc.cli import COMMANDS, build_parser, main
+from amcmc.cli import COMMANDS, INTERVALS, build_parser, main
 from amcmc.config import (
     config_hash,
     parse_config_file,
@@ -311,6 +311,18 @@ def test_cli_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
         (["compminimax", "--discrepancy", "l2", "--fstar", "1e200", "--tv0", "0"], "fstar"),
         # alpha^2 underflowed to 0, and the L2 bias term divided by it
         (["bounds", "--alpha", "1e-200", "--epsilon", "0"], "alpha"),
+        # sigma2^2 in delta_for_epsilon raised OverflowError
+        (["gp", "--epsilon", "1", "--sigma2-true", "1e300"], "sigma2_true"),
+        # delta_for_epsilon gave delta = 1.25e297, and (delta / 2)^2 raised
+        # OverflowError
+        (["gp", "--epsilon", "1", "--tau2-true", "1e-300"], "tau2_true"),
+        # tau2 sqrt(n (tau2 lam_max + sigma2)) underflowed to 0, and
+        # delta_for_epsilon raised ZeroDivisionError
+        (["gp", "--n", "5", "--phi-grid-size", "2", "--epsilon", "1", "--sigma2-true", "1e-308",
+          "--tau2-true", "1e-216"], "sigma2_true"),
+        # 10^-400 underflowed to 0, the probe safety factor was inf, and the
+        # range finder grew the basis to rank n
+        (["gp", "--d-prob", "400"], "d_prob"),
     ],
 )
 def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
@@ -320,6 +332,22 @@ def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
     assert err["subcommand"] == argv[0]
     assert err["error"].startswith(f"{key} must lie in ")
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--delta", "1e160"],
+        ["--epsilon", "1", "--sigma2-true", "1e150", "--tau2-true", "1e-150", "--second-branch", "remark"],
+    ],
+    ids=["given", "retargeted"],
+)
+def test_cli_gp_delta_past_the_float_square_keeps_rank_one(tmp_path, argv):
+    """(delta / 2)^2 raised OverflowError past delta = 2.7e154.  Such a
+    delta is met by one direction."""
+    assert main(["gp", *argv, "--out", str(tmp_path)]) == 0
+    metrics = dict(read_csv_rows(tmp_path / "gp_summary.csv")[1])
+    assert float(metrics["delta"]) > 1e154 and float(metrics["mean_rank"]) == 1.0
 
 
 def test_cli_largest_fstar_keeps_the_l2_bounds_finite(tmp_path):
@@ -555,6 +583,19 @@ def test_cli_import_does_not_load_scipy_stats():
 
 ANY_FLOAT = st.one_of(st.floats(), st.floats(0.0, 1.0), st.floats(1.0, 1e6))
 FLOAT_LIST = st.lists(ANY_FLOAT, min_size=1, max_size=3)
+#: Every power of ten a double holds, subnormals included.
+DECADES = st.integers(-320, 308).map(lambda e: float(f"1e{e}"))
+
+
+def _setting(key: str):
+    """A sampler's float setting: any float, any power of ten, or a value
+    inside its interval, where hypothesis favours the ends."""
+    interval = INTERVALS[key]
+    low, high = (float(v) for v in interval[1:-1].split(","))
+    inside = st.floats(low, high, exclude_min=interval[0] == "(", exclude_max=interval[-1] == ")")
+    return ANY_FLOAT | DECADES | inside
+
+
 FUZZED = {
     "bounds": {
         "alpha": ANY_FLOAT,
@@ -577,6 +618,34 @@ FUZZED = {
         "fstar": ANY_FLOAT,
         "grid_size": st.integers(-1, 50),
     },
+    "gp": {
+        "design": st.sampled_from(["grid", "normal"]),
+        "phi_true": _setting("phi_true"),
+        "sigma2_true": _setting("sigma2_true"),
+        "tau2_true": _setting("tau2_true"),
+        "delta": _setting("delta"),
+        "d_prob": st.integers(-1, 400),
+        "epsilon": _setting("epsilon"),
+        "second_branch": st.sampled_from(["appendix", "remark"]),
+    },
+    "logistic": {
+        "subset_sizes": FLOAT_LIST | st.lists(st.integers(-1, 25).map(float), min_size=1, max_size=3),
+        "prior_var": _setting("prior_var"),
+    },
+    "mixture": {
+        "n_min": _setting("n_min"),
+        "prior_alpha": _setting("prior_alpha"),
+        "prior_a": _setting("prior_a"),
+        "data_ramp": st.sampled_from(["true", "false"]),
+    },
+}
+#: The samplers' integer settings, pinned small so each fuzzed run takes
+#: milliseconds.
+TINY = {
+    "gp": ["--n", "5", "--q", "2", "--phi-grid-size", "2", "--steps", "2", "--burn-in", "0"],
+    "logistic": ["--N", "20", "--p", "2", "--steps", "2", "--burn-in", "1", "--audit-every", "1"],
+    "mixture": ["--p", "2", "--d", "3", "--K", "2", "--N", "30", "--steps", "2", "--burn-in", "2",
+                "--top-cells", "3"],
 }
 
 
@@ -599,12 +668,13 @@ def test_cli_contract_holds_for_any_floats(name):
     keys = FUZZED[name]
 
     @given(st.fixed_dictionaries({k: st.none() | v for k, v in keys.items()}))
-    @settings(max_examples=60, deadline=None)
+    # a sampler run goes deep only when all its settings are in range
+    @settings(max_examples=120 if name in TINY else 60, deadline=None)
     def run(values):
         for joined in (True, False):
             err = io.StringIO()
             with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-                code = main(_argv(name, values, joined) + ["--out", out])
+                code = main(_argv(name, values, joined) + TINY.get(name, []) + ["--out", out])
             assert code in (0, 1, 2)
             if code == 2:
                 record = json.loads(err.getvalue().strip().splitlines()[-1])

@@ -25,7 +25,7 @@ from amcmc.gp_lowrank import (
     se_covariance,
     simulate_gp,
 )
-from amcmc.gp_lowrank import _project
+from amcmc.gp_lowrank import _PROP_SCALE, _TARGET_ACCEPT, _project
 
 
 def test_se_covariance_basics():
@@ -124,6 +124,15 @@ def test_factor_rejects_bad_delta():
         randomized_partial_eig(SeededRng(0), np.eye(4), 0.0)
 
 
+def test_factor_of_a_non_finite_matrix_is_refused():
+    """phi = inf puts NaN (inf times 0) on the diagonal; the range finder
+    found no direction, the NaN residual passed the delta check, and a
+    rank-0 factor came back."""
+    S = se_covariance(np.linspace(0.0, 1.0, 5)[:, None], math.inf)
+    with pytest.raises(ValueError, match="Sigma must be finite"):
+        randomized_partial_eig(SeededRng(0), S, 0.1)
+
+
 def test_accuracy_metrics_perfect_factor():
     rng = np.random.default_rng(7)
     X = np.linspace(0, 1, 50)[:, None]
@@ -190,7 +199,7 @@ def test_predictive_mean_matches_dense_solve():
     state = GPState(0.4, 1.2, 0)
     S_eps = (V * lam) @ V.T
     want = np.linalg.solve(1.2 * S_eps + 0.4 * np.eye(30), y)
-    assert predictive_mean(state, fac, y) == pytest.approx(want, abs=1e-10)
+    assert predictive_mean(state, fac, y, _project(y, fac)) == pytest.approx(want, abs=1e-10)
 
 
 def test_predictive_draw_moments():
@@ -200,8 +209,8 @@ def test_predictive_draw_moments():
     fac = LowRankFactor(V, lam, 0.0, 3, 0.0)
     y = rng.normal(size=10)
     state = GPState(0.5, 1.0, 0)
-    draws_rng = SeededRng(13)
-    draws = np.array([predictive_f_draw(draws_rng, state, fac, y) for _ in range(40000)])
+    draws_rng, proj = SeededRng(13), _project(y, fac)
+    draws = np.array([predictive_f_draw(draws_rng, state, fac, y, proj) for _ in range(40000)])
     psi = np.linalg.inv(1.0 * (V * lam) @ V.T + 0.5 * np.eye(10))
     assert draws.mean(axis=0) == pytest.approx(psi @ y, abs=0.05)
     assert np.cov(draws.T) == pytest.approx(psi, abs=0.06)
@@ -286,7 +295,7 @@ def _old_run(sampler, rng, steps, burn_in):
         return mean + factor.U @ (d_half * (factor.U.T @ z)) + z / sig
 
     state = GPState(1.0, 1.0, len(factors) // 2)
-    scale = sampler.prop_scale
+    scale = _PROP_SCALE
     n_accept = 0
     trace = np.empty((steps, 3))
     pred_sum = np.zeros(model.n)
@@ -310,7 +319,7 @@ def _old_run(sampler, rng, steps, burn_in):
             scale = math.exp(
                 math.log(scale)
                 + (1.0 if accepted else 0.0) / (i + 1) ** 0.6
-                - sampler.target_accept / (i + 1) ** 0.6
+                - _TARGET_ACCEPT / (i + 1) ** 0.6
             )
             scale = min(max(scale, 1e-3), 5.0)
         else:
@@ -345,16 +354,6 @@ def test_public_functions_agree_with_and_without_the_projection():
     for f, proj in zip(factors, projections):
         for s2, t2 in ((0.25, 1.0), (0.013, 7.5), (3.0, 0.02)):
             assert marginal_loglik(y, f, s2, t2, proj) == marginal_loglik(y, f, s2, t2)
-            state = GPState(s2, t2, 0)
-            assert predictive_mean(state, f, y, proj).tobytes() == predictive_mean(state, f, y).tobytes()
-            with_proj = predictive_f_draw(SeededRng(24), state, f, y, proj)
-            assert with_proj.tobytes() == predictive_f_draw(SeededRng(24), state, f, y).tobytes()
-    rng_a, rng_b = SeededRng(25), SeededRng(25)
-    state_a = state_b = GPState(1.0, 1.0, 2)
-    for _ in range(10):
-        state_a, acc_a = mh_griddy_step(rng_a, state_a, s.model, factors, 0.3, projections)
-        state_b, acc_b = mh_griddy_step(rng_b, state_b, s.model, factors, 0.3)
-        assert (state_a, acc_a) == (state_b, acc_b)
 
 
 def test_probe_safety_quantile_equals_scipy_stats_chi2_ppf():
@@ -373,8 +372,9 @@ def test_mh_griddy_step_returns_valid_state():
     s = _toy_sampler(16)
     state = GPState(1.0, 1.0, 2)
     rng = SeededRng(17)
+    projections = [_project(s.model.y, f) for f in s.factors]
     for _ in range(20):
-        state, accepted = mh_griddy_step(rng, state, s.model, s.factors)
+        state, accepted = mh_griddy_step(rng, state, s.model, s.factors, projections, _PROP_SCALE)
         assert isinstance(accepted, bool) or accepted in (True, False)
         assert 0 <= state.phi_index < len(s.factors)
 
@@ -416,7 +416,7 @@ def test_prediction_rmse_curve_converges_to_operator_bias():
     fac = LowRankFactor(V, lam, 0.0, 3, 0.0)
     y = rng.normal(size=20)
     state = GPState(0.5, 1.0, 0)
-    exact = predictive_mean(state, fac, y)  # truth = own mean -> bias 0
+    exact = predictive_mean(state, fac, y, _project(y, fac))  # truth = own mean -> bias 0
     curve = prediction_rmse_curve(SeededRng(19), state, fac, y, exact, 8000)
     assert curve[-1] < curve[10] / 5.0
     assert curve[-1] < 0.1

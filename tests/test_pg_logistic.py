@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from amcmc.distributions import SeededRng, sample_polya_gamma
 from amcmc.pg_logistic import (
     _audit_tv,
+    _prior_terms,
     ChainResult,
     LogisticData,
     PGState,
@@ -108,12 +109,13 @@ def test_subset_full_size_is_bitwise_exact():
     exact sweep and must reproduce it draw for draw."""
     data, _ = simulate_logistic(SeededRng(2), 120, 3)
     b, B = _prior(3)
-    policy = SubsetPolicy(mode="fixed", size=data.N)
+    prior = _prior_terms(b, B)
+    policy = SubsetPolicy(size=data.N)
     s_e = PGState(np.zeros(3), np.full(data.N, 0.25), np.arange(data.N))
     s_s = PGState(np.zeros(3), np.full(data.N, 0.25), np.arange(data.N))
     for i in range(25):
-        s_e = gibbs_step_exact(SeededRng(3, i), s_e, data, b, B)
-        s_s = gibbs_step_subset(SeededRng(3, i), s_s, data, b, B, policy)
+        s_e = gibbs_step_exact(SeededRng(3, i), s_e, data, prior)
+        s_s = gibbs_step_subset(SeededRng(3, i), s_s, data, prior, policy)
         assert np.array_equal(s_e.beta, s_s.beta)
         assert np.array_equal(s_e.omega, s_s.omega)
 
@@ -121,17 +123,15 @@ def test_subset_full_size_is_bitwise_exact():
 def test_subset_size_below_p_plus_one_rejected():
     data, _ = simulate_logistic(SeededRng(4), 50, 4)
     b, B = _prior(4)
-    policy = SubsetPolicy(mode="fixed", size=3)
+    policy = SubsetPolicy(size=3)
     state = PGState(np.zeros(4), np.full(50, 0.25), np.arange(50))
     with pytest.raises(ValueError):
-        gibbs_step_subset(SeededRng(0), state, data, b, B, policy)
+        gibbs_step_subset(SeededRng(0), state, data, _prior_terms(b, B), policy)
 
 
 def test_subset_policy_validation():
     with pytest.raises(ValueError):
-        SubsetPolicy(mode="random")
-    with pytest.raises(ValueError):
-        SubsetPolicy(mode="fixed", size=None)
+        SubsetPolicy(size=0)
 
 
 def test_exact_chain_recovers_coefficients():
@@ -147,7 +147,7 @@ def test_exact_chain_recovers_coefficients():
 def test_run_chain_audit_plumbing():
     data, _ = simulate_logistic(SeededRng(7), 200, 3)
     b, B = _prior(3)
-    policy = SubsetPolicy(mode="fixed", size=60)
+    policy = SubsetPolicy(size=60)
     res = run_chain(
         SeededRng(8),
         data,
@@ -192,7 +192,7 @@ def test_audit_tv_matches_dense_covariance_kl():
 def test_audit_does_not_perturb_chain():
     data, _ = simulate_logistic(SeededRng(10), 150, 3)
     b, B = _prior(3)
-    policy = SubsetPolicy(mode="fixed", size=50)
+    policy = SubsetPolicy(size=50)
     r1 = run_chain(SeededRng(11), data, b, B, steps=30, policy=policy)
     r2 = run_chain(
         SeededRng(11),
@@ -231,11 +231,3 @@ def test_adaptive_size_validation():
     with pytest.raises(ValueError):
         adaptive_subset_size(0.1, 1.0, 5, 0.0, 100)
 
-
-def test_adaptive_policy_runs():
-    data, _ = simulate_logistic(SeededRng(13), 300, 3)
-    b, B = _prior(3)
-    policy = SubsetPolicy(mode="adaptive", epsilon=0.5)
-    res = run_chain(SeededRng(14), data, b, B, steps=20, policy=policy)
-    assert res.trace.shape == (20, 3)
-    assert np.isfinite(res.trace).all()
