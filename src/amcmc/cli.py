@@ -140,7 +140,11 @@ MINIMUMS = {
 #: alpha^2 stays nonzero.  phi_true stops at 1e300, so the top of the phi
 #: grid, 4 phi_true, stays finite.  The GP variances lie in [1e-150, 1e150],
 #: so the powers and products in delta_for_epsilon neither overflow nor
-#: vanish, and y'y stays finite.  d_prob stops at 300, so the failure level
+#: vanish, and y'y stays finite.  The Dirichlet concentrations stop at
+#: 1e150, so a row's sum of gamma draws stays finite; prior_var lies in
+#: [1e-150, 1e150], so the prior precision 1/prior_var does too.  (A
+#: prior_a small enough that lambda draws underflow to 0 is refused by the
+#: sampler, which sees it happen.)  d_prob stops at 300, so the failure level
 #: 10^-d_prob stays a normal double and the probe safety factor stays finite.
 INTERVALS = {
     "alpha": "[1e-150, 1)",
@@ -153,10 +157,10 @@ INTERVALS = {
     "tau_min": "[1, 1e15]",
     "tau_max": "[1, 1e15]",
     "n_min": "[0, inf)",
-    "prior_alpha": "(0, inf)",
-    "prior_a": "(0, inf)",
+    "prior_alpha": "(0, 1e150]",
+    "prior_a": "(0, 1e150]",
     "subset_sizes": "[1, inf)",
-    "prior_var": "(0, inf)",
+    "prior_var": "[1e-150, 1e150]",
     "phi_true": "(0, 1e300]",
     "sigma2_true": "[1e-150, 1e150]",
     "tau2_true": "[1e-150, 1e150]",
@@ -534,7 +538,7 @@ def cmd_gp(cfg: dict, out: Path) -> int:
         out / "gp_trace.csv",
         names=["sigma2", "tau2", "phi_index"],
     )
-    pred = run["pred_running"][-1]
+    pred = run["pred_mean"]
     write_csv(
         out / "gp_predictive.csv",
         ("i", "f_true", "pred_mean", "y"),

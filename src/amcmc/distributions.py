@@ -54,8 +54,10 @@ class SeededRng:
     def exponential(self, size=None):
         return self._gen.standard_exponential(size=size)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+    def subset(self, n: int, size: int) -> np.ndarray:
+        """Sorted indices of a uniform draw of ``size`` of range(n), without
+        replacement."""
+        return np.sort(self._gen.choice(n, size, replace=False, shuffle=False))
 
 
 def sample_dirichlet(rng: SeededRng, concentration) -> np.ndarray:

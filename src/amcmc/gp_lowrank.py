@@ -53,6 +53,10 @@ _BLOCK, _OVERSAMPLE, _N_PROBES = 8, 10, 10
 #: rate its burn-in adaptation aims at.
 _PROP_SCALE, _TARGET_ACCEPT = 0.2, 0.3
 
+#: Predictive draws per matrix product, which bounds a pass's temporaries
+#: to a few (_ROW_BLOCK x max(n, r)) arrays.
+_ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class GPModel:
@@ -337,12 +341,32 @@ def mh_griddy_step(
     return GPState(sigma2, tau2, phi_index), accepted
 
 
+def _psi_scales(factor: LowRankFactor, sigma2, tau2) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (d, d_half), one per entry of the 1-d arrays ``sigma2`` and
+    ``tau2``: the eigenvalues of Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1} and
+    of its symmetric root along U, less their values 1/sigma^2 and 1/sigma
+    off it."""
+    s2 = np.asarray(sigma2, dtype=np.float64)[:, None]
+    scale = np.asarray(tau2, dtype=np.float64)[:, None] * factor.lam + s2
+    return 1.0 / scale - 1.0 / s2, 1.0 / np.sqrt(scale) - 1.0 / np.sqrt(s2)
+
+
+def _draw_coefficients(
+    factor: LowRankFactor, proj: Projection, sigma2, tau2, Z: np.ndarray
+) -> np.ndarray:
+    """Rows c_j = d_j U'y + d_half_j U'z_j, one per row z_j of ``Z``, of the
+    draws f_j = U c_j + y / sigma2_j + z_j / sigma_j of f ~ N(Psi y, Psi);
+    ``sigma2`` and ``tau2`` hold one entry per row, or one for all rows."""
+    d, d_half = _psi_scales(factor, sigma2, tau2)
+    return d * proj[0] + d_half * (Z @ factor.U)
+
+
 def predictive_mean(
     state: GPState, factor: LowRankFactor, y: np.ndarray, proj: Projection
 ) -> np.ndarray:
     """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.  ``proj`` is
     ``_project(y, factor)``."""
-    d = 1.0 / (state.tau2 * factor.lam + state.sigma2) - 1.0 / state.sigma2
+    d = _psi_scales(factor, [state.sigma2], [state.tau2])[0][0]
     return factor.U @ (d * proj[0]) + y / state.sigma2
 
 
@@ -355,12 +379,32 @@ def predictive_f_draw(
 ) -> np.ndarray:
     """Draw f ~ N(Psi y, Psi) using the eigen-identity for Psi and its
     symmetric square root.  ``proj`` is ``_project(y, factor)``."""
-    mean = predictive_mean(state, factor, y, proj)
     z = rng.normal(size=len(y))
-    sig = math.sqrt(state.sigma2)
-    d_half = 1.0 / np.sqrt(state.tau2 * factor.lam + state.sigma2) - 1.0 / sig
-    z_u = factor.U.T @ z
-    return mean + factor.U @ (d_half * z_u) + z / sig
+    c = _draw_coefficients(factor, proj, [state.sigma2], [state.tau2], z[None])[0]
+    return factor.U @ c + y / state.sigma2 + z / math.sqrt(state.sigma2)
+
+
+def _predictive_sum(
+    factors: list[LowRankFactor],
+    projections: list[Projection],
+    y: np.ndarray,
+    trace: np.ndarray,
+    Z: np.ndarray,
+) -> np.ndarray:
+    """Sum of the predictive draws of a chain's kept sweeps: row j of
+    ``trace`` is (sigma2, tau2, phi_index) and row j of ``Z`` the normals of
+    sweep j.  The sum is linear in the c_j, so one pass per factor sums the
+    c_j of its sweeps before one product with U."""
+    sigma2, tau2, k_of = trace[:, 0], trace[:, 1], trace[:, 2].astype(np.int64)
+    total = y * float(np.sum(1.0 / sigma2)) + (1.0 / np.sqrt(sigma2)) @ Z
+    for k, (factor, proj) in enumerate(zip(factors, projections)):
+        rows = np.flatnonzero(k_of == k)
+        c = np.zeros(factor.r)
+        for start in range(0, len(rows), _ROW_BLOCK):
+            J = rows[start : start + _ROW_BLOCK]
+            c += _draw_coefficients(factor, proj, sigma2[J], tau2[J], Z[J]).sum(axis=0)
+        total += factor.U @ c
+    return total
 
 
 def delta_for_epsilon(
@@ -422,8 +466,8 @@ class GPSampler:
         scale = _PROP_SCALE
         n_accept = 0
         trace = np.empty((steps, 3))
-        pred_sum = np.zeros(self.model.n)
-        pred_running = [] if collect_predictive else None
+        # each kept sweep's predictive draw is projected after the loop
+        Z = np.empty((steps, self.model.n)) if collect_predictive else None
         # y and the factors are fixed for the chain: project y once per factor
         projections = [_project(self.model.y, f) for f in self.factors]
         for i in range(burn_in + steps):
@@ -443,17 +487,15 @@ class GPSampler:
                 n_accept += accepted
                 trace[j] = (state.sigma2, state.tau2, state.phi_index)
                 if collect_predictive:
-                    k = state.phi_index
-                    f = predictive_f_draw(rng, state, self.factors[k], self.model.y, projections[k])
-                    pred_sum += f
-                    pred_running.append(pred_sum / (j + 1))
+                    Z[j] = rng.normal(size=self.model.n)
         out = {
             "trace": trace,
             "accept_rate": n_accept / steps,
             "prop_scale": scale,
         }
         if collect_predictive:
-            out["pred_running"] = pred_running
+            y = self.model.y
+            out["pred_mean"] = _predictive_sum(self.factors, projections, y, trace, Z) / steps
         return out
 
 
@@ -466,13 +508,21 @@ def prediction_rmse_curve(
     n_draws: int,
 ) -> np.ndarray:
     """RMSE of the running Monte-Carlo mean of f-draws against the exact
-    predictive mean, one entry per draw count 1..n_draws."""
-    running = np.zeros(len(y))
-    rmse = np.empty(n_draws)
+    predictive mean, one entry per draw count 1..n_draws.  The draws come
+    _ROW_BLOCK at a time; a block's normals are the variates that one call
+    per draw would take."""
     proj = _project(y, factor)
-    for j in range(n_draws):
-        running += predictive_f_draw(rng, state, factor, y, proj)
-        rmse[j] = math.sqrt(float(np.mean((running / (j + 1) - psi_exact) ** 2)))
+    rmse = np.empty(n_draws)
+    running = np.zeros(len(y))
+    for start in range(0, n_draws, _ROW_BLOCK):
+        Z = rng.normal(size=(min(_ROW_BLOCK, n_draws - start), len(y)))
+        F = _draw_coefficients(factor, proj, [state.sigma2], [state.tau2], Z) @ factor.U.T
+        F += y / state.sigma2 + Z / math.sqrt(state.sigma2)
+        F[0] += running
+        sums = np.cumsum(F, axis=0)
+        running = sums[-1]
+        counts = np.arange(start + 1, start + len(Z) + 1)[:, None]
+        rmse[start : start + len(Z)] = np.sqrt(np.mean((sums / counts - psi_exact) ** 2, axis=1))
     return rmse
 
 

@@ -151,7 +151,15 @@ def _class_probs(state: MixtureState, index: np.ndarray) -> np.ndarray:
     logw = np.repeat(log_nu[None, :], len(index), axis=0)
     for j in range(index.shape[1]):
         logw += log_lam[j][:, index[:, j]].T
-    logw -= logw.max(axis=1, keepdims=True)
+    top = logw.max(axis=1, keepdims=True)
+    if np.isneginf(top).any():
+        # lambda entries are 0 only where a tiny Dirichlet concentration
+        # underflowed, so a cell that every class misses points at prior_a
+        raise ValueError(
+            "every class gives a cell probability 0: the Dirichlet draws of "
+            "lambda underflowed to 0, so the prior concentration prior_a is too small"
+        )
+    logw -= top
     w = np.exp(logw)
     return w / w.sum(axis=1, keepdims=True)
 

@@ -162,7 +162,7 @@ def gibbs_step_subset(
     if size == data.N:
         rows, Xr = np.arange(data.N), data.X
     else:
-        rows = np.sort(rng.permutation(data.N)[:size])
+        rows = rng.subset(data.N, size)
         Xr = data.X[rows]
     omega = np.asarray(sample_polya_gamma(rng, Xr @ state.beta))
     beta = _draw_beta(rng, Xr, omega, data.N / size, prior[0], data.Xt_kappa)

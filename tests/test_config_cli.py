@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,37 @@ def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["subcommand"] == argv[0]
     assert err["error"].startswith(f"{key} must lie in ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+_SMALL_MIXTURE = ["mixture", "--p", "2", "--d", "3", "--K", "2", "--N", "30", "--steps", "2",
+                  "--burn-in", "2", "--top-cells", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        # 1/prior_var overflowed, and B^-1 b warned and ended in "array must
+        # not contain infs or NaNs"
+        (["logistic", "--N", "20", "--p", "2", "--steps", "2", "--burn-in", "1",
+          "--subset-sizes", "10,20", "--prior-var", "1e-310"], "prior_var"),
+        # every class's lambda draw at a cell underflowed to 0, and the class
+        # probabilities warned and ended in "pvals < 0, pvals > 1 or pvals
+        # contains NaNs"
+        (_SMALL_MIXTURE + ["--prior-a", "1e-320"], "prior_a"),
+        # the gamma total of the nu draw overflowed, and it warned and ended in
+        # "Probabilities do not sum to 1"
+        (_SMALL_MIXTURE + ["--prior-alpha", "1e308"], "prior_alpha"),
+    ],
+)
+def test_cli_degenerate_prior_exits_2_naming_its_setting(tmp_path, capsys, argv, key):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["subcommand"] == argv[0] and key in err["error"]
     assert not (tmp_path / "manifest.json").exists()
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from amcmc import gp_lowrank
 from amcmc.distributions import SeededRng, sample_discrete
 from amcmc.gp_lowrank import (
     GPModel,
@@ -340,11 +341,54 @@ def test_cached_projections_match_the_per_call_loop_bit_for_bit():
     assert new["trace"].tobytes() == old["trace"].tobytes()
     assert len(set(new["trace"][:, 2])) > 1  # the chain visits several factors
     assert (new["accept_rate"], new["prop_scale"]) == (old["accept_rate"], old["prop_scale"])
-    assert len(new["pred_running"]) == len(old["pred_running"]) == 60
-    for a, b in zip(new["pred_running"], old["pred_running"]):
-        assert a.tobytes() == b.tobytes()
+    # the batched pass sums the draws in another order than the loop did
+    want = old["pred_running"][-1]
+    assert np.max(np.abs(new["pred_mean"] - want)) <= 1e-12 * np.max(np.abs(want))
     # the same generator position after both chains
     assert rng_new.normal(size=4).tobytes() == rng_old.normal(size=4).tobytes()
+
+
+@pytest.mark.parametrize("row_block", [7, 256])
+def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_block):
+    """``pred_mean`` against each kept sweep's draw rebuilt densely: Psi_j
+    and its symmetric root from ``eigh`` of tau_j^2 U Lambda U' + sigma_j^2 I,
+    applied to the normals the chain drew, replayed from the generator.  A
+    block of 7 rows leaves every factor a partial last block."""
+    monkeypatch.setattr(gp_lowrank, "_ROW_BLOCK", row_block)
+    s = _toy_sampler(24, delta=1e-4, n=40)
+    steps, burn_in = 50, 20
+    run = s.run(SeededRng(25), steps=steps, burn_in=burn_in, collect_predictive=True)
+    assert len(set(run["trace"][:, 2])) > 1
+
+    # replay the chain's generator: each kept sweep draws its normals last
+    rng = SeededRng(25)
+    projections = [_project(s.model.y, f) for f in s.factors]
+    state, scale = GPState(1.0, 1.0, len(s.factors) // 2), _PROP_SCALE
+    Z, trace = [], []
+    for i in range(burn_in + steps):
+        state, accepted = mh_griddy_step(rng, state, s.model, s.factors, projections, scale)
+        if i < burn_in:
+            scale = math.exp(
+                math.log(scale)
+                + (1.0 if accepted else 0.0) / (i + 1) ** 0.6
+                - _TARGET_ACCEPT / (i + 1) ** 0.6
+            )
+            scale = min(max(scale, 1e-3), 5.0)
+        else:
+            trace.append((state.sigma2, state.tau2, state.phi_index))
+            Z.append(rng.normal(size=s.model.n))
+    assert np.array_equal(np.array(trace), run["trace"])
+
+    total = np.zeros(s.model.n)
+    for (sigma2, tau2, k), z in zip(run["trace"], Z):
+        f = s.factors[int(k)]
+        M = tau2 * (f.U * f.lam) @ f.U.T + sigma2 * np.eye(s.model.n)
+        vals, vecs = np.linalg.eigh(M)
+        psi = (vecs / vals) @ vecs.T
+        root = (vecs / np.sqrt(vals)) @ vecs.T
+        total += psi @ s.model.y + root @ z
+    want = total / steps
+    assert np.max(np.abs(run["pred_mean"] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_public_functions_agree_with_and_without_the_projection():

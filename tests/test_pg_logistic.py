@@ -175,7 +175,7 @@ def test_audit_tv_matches_dense_covariance_kl():
     data, _ = simulate_logistic(SeededRng(15), 300, 4)
     b, B = _prior(4)
     B_inv = np.linalg.inv(B)
-    rows = np.sort(SeededRng(16).permutation(data.N)[:250])
+    rows = SeededRng(16).subset(data.N, 250)
     state = PGState(np.array([0.5, -1.0, 0.2, 1.5]), np.full(250, 0.25), rows)
     got = _audit_tv(SeededRng(17), state, data, B_inv)
 
