@@ -4,11 +4,16 @@ Subcommands: bounds, mixtimes, compminimax, verify-finite, mixture,
 logistic, gp, diagnose.  Every run writes CSV artifacts plus a
 manifest.json into --out; payloads are byte-reproducible for a fixed seed
 and step budget.
+
+Importing this module loads numpy and the calculus modules only.  The
+sampler and diagnostics modules, and scipy.special and scipy.linalg through
+them, are imported by the handlers that run them, before any chain starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -18,13 +23,21 @@ import numpy as np
 
 from . import bounds as bnd
 from . import compminimax as cmx
-from . import diagnostics as diag
 from . import finite_chain as fc
-from . import gp_lowrank as gp
-from . import mixture as mix
-from . import pg_logistic as pg
 from .config import resolve_config, parse_config_file, write_csv, write_manifest
 from .distributions import SeededRng
+
+#: Module attributes imported on first access (PEP 562), for callers that
+#: reach the sampler and diagnostics modules through this one.  The handlers
+#: import the same module objects, so a function replaced on ``cli.pg`` is
+#: the one a handler calls.
+_DEFERRED = {"diag": "diagnostics", "gp": "gp_lowrank", "mix": "mixture", "pg": "pg_logistic"}
+
+
+def __getattr__(name: str):
+    if name in _DEFERRED:
+        return importlib.import_module(f".{_DEFERRED[name]}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # ---------------------------------------------------------------------------
 # subcommands: name -> (schema, handler); a schema maps key -> (type, default)
@@ -344,6 +357,9 @@ def cmd_verify_finite(cfg: dict, out: Path) -> int:
 def run_mixture_experiment(cfg: dict) -> dict:
     """Simulate a sparse table, run the exact chain and the approximate
     chain, and track pi on the most-occupied cells."""
+    from . import diagnostics as diag
+    from . import mixture as mix
+
     rng_sim = SeededRng(cfg["seed"], stream=0)
     priors = mix.MixturePriors(cfg["prior_alpha"], cfg["prior_a"])
     data, _, _, true_pi = mix.simulate_contingency(
@@ -392,6 +408,8 @@ def run_mixture_experiment(cfg: dict) -> dict:
 
 
 def cmd_mixture(cfg: dict, out: Path) -> int:
+    from . import diagnostics as diag
+
     res = run_mixture_experiment(cfg)
     top, true_pi = res["top"], res["true_pi"]
     write_csv(
@@ -423,6 +441,9 @@ def cmd_mixture(cfg: dict, out: Path) -> int:
 
 
 def run_logistic_experiment(cfg: dict) -> dict:
+    from . import diagnostics as diag
+    from . import pg_logistic as pg
+
     sizes = cfg["subset_sizes"]
     if not all(s == int(s) and cfg["p"] < s <= cfg["N"] for s in sizes):
         raise ValueError(
@@ -473,6 +494,8 @@ def run_logistic_experiment(cfg: dict) -> dict:
 
 
 def cmd_logistic(cfg: dict, out: Path) -> int:
+    from . import diagnostics as diag
+
     res = run_logistic_experiment(cfg)
     write_csv(
         out / "logistic_subsets.csv",
@@ -491,6 +514,9 @@ def cmd_logistic(cfg: dict, out: Path) -> int:
 
 
 def cmd_gp(cfg: dict, out: Path) -> int:
+    from . import diagnostics as diag
+    from . import gp_lowrank as gp
+
     rng_sim = SeededRng(cfg["seed"], stream=0)
     X, f_true, y = gp.simulate_gp(
         rng_sim,
@@ -560,6 +586,8 @@ def cmd_gp(cfg: dict, out: Path) -> int:
 
 
 def cmd_diagnose(cfg: dict, out: Path) -> int:
+    from . import diagnostics as diag
+
     if not cfg["trace"]:
         raise ValueError("diagnose requires a trace CSV (key 'trace')")
     trace = diag.read_trace_csv(cfg["trace"])

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# sample_polya_gamma imports from scipy.special on every call; loading it
+# here keeps that first import out of a chain's first sweep
+import scipy.special  # noqa: F401
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .distributions import SeededRng, sample_polya_gamma

@@ -585,8 +585,10 @@ def test_cli_logistic_byte_identical_across_processes(tmp_path):
         ["bounds", "--alpha", "0.2", "--epsilon", "0.05"],
         ["compminimax", "--discrepancy", "l2", "--tau-max", "100", "--tau-points", "5",
          "--grid-size", "200"],
+        ["mixtimes", "--alphas", "0.3,0.01", "--deltas", "0.1,1e-6"],
+        ["verify-finite"],
     ],
-    ids=["bounds", "compminimax"],
+    ids=["bounds", "compminimax", "mixtimes", "verify-finite"],
 )
 def test_cli_calculus_byte_identical_across_processes(tmp_path, args):
     digests = _digests_of_two_processes(tmp_path, args)
@@ -607,6 +609,122 @@ def test_cli_import_does_not_load_scipy_stats():
     proc = _fresh_python("import sys, amcmc.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: Modules that only the samplers and ``diagnose`` run.
+SAMPLER_MODULES = (
+    "scipy.special",
+    "scipy.linalg",
+    "amcmc.diagnostics",
+    "amcmc.gp_lowrank",
+    "amcmc.mixture",
+    "amcmc.pg_logistic",
+)
+
+
+def test_cli_import_loads_no_sampler_module():
+    """``import amcmc.cli`` leaves the sampler modules, and scipy.special
+    and scipy.linalg with them, to the subcommands that run them."""
+    code = f"import sys, amcmc.cli; print([m for m in {SAMPLER_MODULES!r} if m in sys.modules])"
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds"],
+        ["mixtimes"],
+        ["compminimax", "--discrepancy", "l2", "--tau-points", "3", "--grid-size", "100"],
+        ["verify-finite"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cli_calculus_subcommands_never_load_scipy_special(tmp_path, args):
+    code = (
+        "import sys; from amcmc.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'scipy.special' in sys.modules)"
+    )
+    proc = _fresh_python(code, *args, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+#: Each sampler at a size that runs in milliseconds.
+SAMPLER_ARGV = {
+    "logistic": ["--N", "20", "--p", "2", "--subset-sizes", "10,20", "--steps", "2", "--burn-in", "1",
+                 "--audit-every", "1"],
+    "mixture": ["--p", "2", "--d", "3", "--K", "2", "--N", "30", "--steps", "2", "--burn-in", "2",
+                "--top-cells", "3"],
+    "gp": ["--n", "5", "--q", "2", "--phi-grid-size", "2", "--steps", "2", "--burn-in", "0"],
+}
+
+#: (module, function) whose call starts each sampler's first chain.
+FIRST_CHAIN = {
+    "logistic": ("amcmc.pg_logistic", "run_chain"),
+    "mixture": ("amcmc.mixture", "init_state"),
+    "gp": ("amcmc.gp_lowrank", "run"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_CHAIN))
+def test_cli_sampler_chains_start_with_scipy_loaded(tmp_path, name):
+    """When a sampler's first chain starts, every scipy module the run
+    needs is loaded already, so no sweep pays for an import.  A profile
+    hook notes the loaded modules at that call without touching the
+    import order."""
+    module, function = FIRST_CHAIN[name]
+    code = f"""
+import json, sys
+from amcmc.cli import main
+seen = []
+def note(frame, event, arg):
+    if (event == "call" and not seen and frame.f_code.co_name == {function!r}
+            and frame.f_globals["__name__"] == {module!r}):
+        seen.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+sys.setprofile(note)
+code = main(sys.argv[1:])
+sys.setprofile(None)
+print(json.dumps({{"code": code, "at_chain": seen[0], "at_exit": sorted(m for m in sys.modules if m.startswith("scipy"))}}))
+"""
+    proc = _fresh_python(code, name, *SAMPLER_ARGV[name], "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert rec["code"] == 0
+    assert "scipy.special" in rec["at_chain"]
+    if name == "logistic":
+        assert "scipy.linalg" in rec["at_chain"]
+    assert rec["at_exit"] == rec["at_chain"]
+
+
+def test_cli_hooks_set_before_main_intercept_every_sampler(tmp_path):
+    """The benchmark's pattern: read ``cli.pg``, ``cli.mix`` and ``cli.gp``
+    before ``main`` runs, replace a function on each, and expect every
+    subcommand to call the replacement."""
+    code = f"""
+import json, sys
+import amcmc.cli as cli
+calls = {{}}
+def hook(owner, attr):
+    original = getattr(owner, attr)
+    def hooked(*args, **kwargs):
+        calls[attr] = calls.get(attr, 0) + 1
+        return original(*args, **kwargs)
+    setattr(owner, attr, hooked)
+hook(cli.pg, "run_chain")
+hook(cli.mix, "gibbs_step_approx")
+hook(cli.gp.GPSampler, "run")
+codes = [cli.main([name, *argv, "--out", sys.argv[1] + "/" + name]) for name, argv in {SAMPLER_ARGV!r}.items()]
+print(json.dumps({{"codes": codes, "calls": calls}}))
+"""
+    proc = _fresh_python(code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert rec["codes"] == [0, 0, 0]
+    # the exact logistic chain and one per subset size, every sweep of the
+    # approximate mixture chain, and the one gp chain
+    assert rec["calls"] == {"run_chain": 3, "gibbs_step_approx": 4, "run": 1}
 
 
 # ---------------------------------------------------------------------------
