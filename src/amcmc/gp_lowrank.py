@@ -91,7 +91,7 @@ class LowRankFactor:
     delta: float
     d_prob: int
     resid_fro: float  # measured ||Sigma - U diag(lam) U'||_F
-    full_rank: bool = False  # basis reached n without compression
+    full_rank: bool = False  # basis reached n, or its next block would: dense eigh
 
     @property
     def r(self) -> int:
@@ -123,16 +123,22 @@ def randomized_partial_eig(
 ) -> LowRankFactor:
     """Adaptive randomized range finder + Nystrom eigendecomposition.
 
-    The basis grows in blocks of ``_BLOCK`` columns until the probe-based
-    estimate of ||(I - QQ')Sigma||_F certifies half the delta target at
-    confidence 1 - 10^{-d_prob} (chi-square lower-tail safety factor on
-    ``_N_PROBES`` Gaussian probes), then ``_OVERSAMPLE`` extra columns are
-    added before the Nystrom step.  The returned factor is truncated to
-    the smallest rank whose dropped spectral mass keeps the overall
-    Frobenius budget, so its trailing directions stay well above the
-    accuracy floor.  Raises ``ValueError`` when the factor's measured
-    residual still exceeds delta: a delta below the floor that the Nystrom
-    shift sets cannot be met.
+    The basis grows in blocks as large as itself (``_BLOCK``, ``_BLOCK``,
+    2 ``_BLOCK``, 4 ``_BLOCK``, ...), so it reaches rank k in O(log k)
+    rounds, until the probe-based estimate of ||(I - QQ')Sigma||_F
+    certifies half the delta target at confidence 1 - 10^{-d_prob}
+    (chi-square lower-tail safety factor on ``_N_PROBES`` Gaussian probes);
+    then ``_OVERSAMPLE`` extra columns are added before the Nystrom step.
+    A basis that fills R^n captures Sigma itself (with Q square and
+    orthogonal, Sigma Q (Q' Sigma Q)^{-1} Q' Sigma = Sigma), so when the
+    basis reaches n, or the next block would take it there, Sigma is
+    factored by its dense eigendecomposition instead.  Either way the
+    factor is truncated to the smallest rank whose dropped spectral mass
+    keeps the overall Frobenius budget, so its trailing directions stay
+    well above the accuracy floor.  Raises ``ValueError`` when the factor's
+    measured residual still exceeds delta: a delta below the floor that
+    the Nystrom shift (partial basis) or the rounding of the dense
+    eigendecomposition (full basis) sets cannot be met.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -171,7 +177,9 @@ def randomized_partial_eig(
         k += m
         return Qb.shape[1]
 
-    while extend(_BLOCK) and k < n:
+    # each block is as large as the basis, so rank k takes O(log k) rounds
+    full_rank = False
+    while extend(max(_BLOCK, k)) and k < n:
         W = rng.normal(size=(n, _N_PROBES))
         R = Sigma @ W
         R -= Q[:, :k] @ (Q[:, :k].T @ R)
@@ -179,17 +187,28 @@ def randomized_partial_eig(
         if est_f2 * safety <= target2:
             extend(_OVERSAMPLE)
             break
-    full_rank = k == n
-    Q = Q[:, :k]
+        if k + max(_BLOCK, k) >= n:
+            full_rank = True  # the next block would fill R^n: skip it
+            break
+    full_rank = full_rank or k == n
 
-    # Nystrom step with a tiny spectral shift for factorization stability
-    B1 = Sigma @ Q
-    shift = 1e-12 * scale
-    B2 = Q.T @ B1 + shift * np.eye(k)
-    C = np.linalg.cholesky(0.5 * (B2 + B2.T))
-    F = np.linalg.solve(C, B1.T).T  # B1 C^{-T}
-    Uf, s, _ = np.linalg.svd(F, full_matrices=False)
-    lam = np.clip(s * s - shift, 0.0, None)
+    if full_rank:
+        # with Q square and orthogonal, the Nystrom step only rebuilds Sigma
+        vals, vecs = np.linalg.eigh(Sigma)
+        # descending, and copied: BLAS takes no negative column stride
+        Uf, lam = vecs[:, ::-1].copy(), np.clip(vals[::-1], 0.0, None)
+        floor = "the rounding of the dense eigendecomposition sets"
+    else:
+        # Nystrom step with a tiny spectral shift for factorization stability
+        Q = Q[:, :k]
+        B1 = Sigma @ Q
+        shift = 1e-12 * scale
+        B2 = Q.T @ B1 + shift * np.eye(k)
+        C = np.linalg.cholesky(0.5 * (B2 + B2.T))
+        F = np.linalg.solve(C, B1.T).T  # B1 C^{-T}
+        Uf, s, _ = np.linalg.svd(F, full_matrices=False)
+        lam = np.clip(s * s - shift, 0.0, None)
+        floor = "the Nystrom shift 1e-12 tr(Sigma) sets"
 
     # truncate: ||Sigma - Sigma_m||_F <= ||Sigma - Sigma_r||_F + sqrt(sum
     # of dropped lam^2), so dropping tail mass up to delta/2 keeps the
@@ -204,8 +223,7 @@ def randomized_partial_eig(
     if resid_fro > delta:
         raise ValueError(
             f"the rank-{m} factor (n = {n}) misses delta = {delta:.3e}: "
-            f"||Sigma - U Lambda U'||_F = {resid_fro:.3e}; the Nystrom shift "
-            f"1e-12 tr(Sigma) sets a floor near that"
+            f"||Sigma - U Lambda U'||_F = {resid_fro:.3e}; {floor} a floor near that"
         )
     return LowRankFactor(Uf, lam, delta, d_prob, resid_fro, full_rank)
 

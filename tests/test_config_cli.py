@@ -254,10 +254,11 @@ def test_cli_gp_epsilon_retarget(tmp_path):
 
 def test_cli_gp_delta_below_the_floor_exits_2_with_json(tmp_path, capsys):
     argv = ["gp", "--out", str(tmp_path), "--n", "500", "--q", "6", "--design", "normal",
-            "--phi-true", "0.1", "--delta", "1e-10", "--steps", "2", "--burn-in", "0"]
+            "--phi-true", "0.1", "--delta", "1e-14", "--steps", "2", "--burn-in", "0"]
     assert main(argv) == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["subcommand"] == "gp" and "misses delta = 1.000e-10" in err["error"]
+    assert err["subcommand"] == "gp" and "misses delta = 1.000e-14" in err["error"]
+    assert "rounding of the dense eigendecomposition" in err["error"]
     assert not (tmp_path / "manifest.json").exists()
 
 def test_cli_diagnose_roundtrip(tmp_path):

@@ -77,6 +77,14 @@ def test_factor_exact_on_low_rank_matrix():
     assert fac.lam[:2] == pytest.approx([3.0, 1.0], abs=1e-8)
 
 
+def _eckart_young_rank(vals: np.ndarray, delta: float) -> int:
+    """Eckart-Young: ||S - S_i||_F over the best rank-i S_i is the root of
+    the tail sum of squared eigenvalues (``vals`` descending); the least i
+    within delta."""
+    tail = np.sqrt(np.cumsum(vals[::-1] ** 2)[::-1])
+    return int(np.searchsorted(-tail, -delta))
+
+
 @pytest.mark.parametrize("phi, optimum", [(5.0, 8), (20.0, 13), (80.0, 22)])
 def test_range_finder_keeps_its_basis_orthonormal(phi, optimum):
     """Grid design, n = 1000, delta = 1e-3.  Projecting each block against
@@ -87,13 +95,47 @@ def test_range_finder_keeps_its_basis_orthonormal(phi, optimum):
     assert not fac.full_rank
     assert np.abs(fac.U.T @ fac.U - np.eye(fac.r)).max() <= 1e-12
     assert fac.resid_fro <= 1e-3
-    # Eckart-Young: ||S - S_i||_F over the best rank-i S_i is the root of
-    # the tail sum of squared eigenvalues; the least i within delta
     vals = np.linalg.eigvalsh(S)[::-1]
-    tail = np.sqrt(np.cumsum(vals[::-1] ** 2)[::-1])
-    assert int(np.searchsorted(-tail, -1e-3)) == optimum
-    # at most one block (8) and the oversample (10) above the optimum
-    assert optimum <= fac.r <= optimum + 8 + 10
+    assert _eckart_young_rank(vals, 1e-3) == optimum
+    # the Nystrom factor is below S (Loewner order), so each of its
+    # eigenvalues is below S's and the truncation to the delta/2 tail
+    # keeps at most the Eckart-Young rank for delta/2
+    assert optimum <= fac.r <= _eckart_young_rank(vals, 0.5e-3)
+
+
+def test_range_finder_takes_the_nystrom_step_at_mid_rank():
+    """Normal design, n = 1000, delta = 0.1: the Eckart-Young ranks for
+    delta and delta/2 (146 and 181) are well below n/2, so the doubling
+    basis is certified before a block could fill R^n, and the factor
+    comes from the Nystrom step on a partial basis."""
+    X, _, _ = simulate_gp(SeededRng(7, 0), 1000, 6, 0.1, 0.25, 1.0, "normal")
+    S = se_covariance(X, 0.05)
+    fac = randomized_partial_eig(SeededRng(7, 1), S, 0.1)
+    assert not fac.full_rank
+    assert np.linalg.norm(S - (fac.U * fac.lam) @ fac.U.T) <= 0.1
+    assert np.abs(fac.U.T @ fac.U - np.eye(fac.r)).max() <= 1e-12
+    vals = np.linalg.eigvalsh(S)[::-1]
+    assert _eckart_young_rank(vals, 0.1) <= fac.r <= _eckart_young_rank(vals, 0.05)
+
+
+@pytest.mark.parametrize(
+    "n, q, phi, delta",
+    [(500, 6, 0.025, 1e-6), (500, 6, 0.1, 1e-6), (200, 5, 0.1, 1e-3)],
+)
+def test_full_basis_factor_is_the_truncated_dense_eigendecomposition(n, q, phi, delta):
+    """A basis that fills R^n (or whose next block would) is replaced by the
+    dense eigendecomposition of S, truncated to the least rank whose
+    dropped tail is within delta/2."""
+    X, _, _ = simulate_gp(SeededRng(501, 0), n, q, phi, 0.25, 1.0, "normal")
+    S = se_covariance(X, phi)
+    fac = randomized_partial_eig(SeededRng(1), S, delta)
+    assert fac.full_rank
+    vals = np.linalg.eigvalsh(S)[::-1]
+    m = _eckart_young_rank(vals, delta / 2)
+    assert fac.r == m
+    assert np.abs(fac.lam - vals[:m]).max() <= 1e-12 * vals[0]
+    assert np.abs(fac.U.T @ fac.U - np.eye(m)).max() <= 1e-12
+    assert fac.resid_fro <= delta
 
 
 def test_range_finder_stops_when_a_block_adds_no_direction():
@@ -108,16 +150,20 @@ def test_range_finder_stops_when_a_block_adds_no_direction():
 
 
 def test_factor_below_its_floor_is_refused():
-    """At n = 500 (normal design, q = 6) the Nystrom shift holds the
-    residual near 2.2e-8: delta = 1e-10 cannot be met, and no factor is
-    returned.  delta = 1e-6 is met and returned."""
+    """At n = 500 (normal design, q = 6) the basis fills R^n and the dense
+    eigendecomposition holds the residual near 3.1e-13: delta = 1e-10 is
+    met (the Nystrom shift held it near 2.2e-8), and delta = 1e-14 cannot
+    be met, so no factor is returned.  delta = 1e-6 is met and returned."""
     X, _, _ = simulate_gp(SeededRng(501, 0), 500, 6, 0.1, 0.25, 1.0, "normal")
     S = se_covariance(X, 0.1)
-    with pytest.raises(ValueError, match="misses delta = 1.000e-10"):
-        randomized_partial_eig(SeededRng(1), S, 1e-10)
-    fac = randomized_partial_eig(SeededRng(1), S, 1e-6)
-    assert fac.resid_fro <= 1e-6
-    assert np.linalg.norm(S - (fac.U * fac.lam) @ fac.U.T) <= 1e-6
+    with pytest.raises(
+        ValueError, match="misses delta = 1.000e-14.*rounding of the dense eigendecomposition"
+    ):
+        randomized_partial_eig(SeededRng(1), S, 1e-14)
+    for delta in (1e-10, 1e-6):
+        fac = randomized_partial_eig(SeededRng(1), S, delta)
+        assert fac.resid_fro <= delta
+        assert np.linalg.norm(S - (fac.U * fac.lam) @ fac.U.T) <= delta
 
 
 def test_factor_rejects_bad_delta():
