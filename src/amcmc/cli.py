@@ -5,9 +5,10 @@ logistic, gp, diagnose.  Every run writes CSV artifacts plus a
 manifest.json into --out; payloads are byte-reproducible for a fixed seed
 and step budget.
 
-Importing this module loads numpy and the calculus modules only.  The
-sampler and diagnostics modules, and scipy.special and scipy.linalg through
-them, are imported by the handlers that run them, before any chain starts.
+The program needs numpy and the standard library only.  Importing this
+module loads numpy and the calculus modules; the sampler and diagnostics
+modules are imported by the handlers that run them, before any chain
+starts.
 """
 
 from __future__ import annotations

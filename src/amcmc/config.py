@@ -5,9 +5,9 @@ Config files are plain text, one ``key = value`` per line, ``#`` comments
 allowed.  Command-line flags override file values as raw strings, and the
 merged strings are typed once, by the subcommand's schema.  Every run
 writes a ``manifest.json`` recording the resolved config, its hash, the
-seed, and library versions, so a run can be reproduced byte-for-byte from
-its manifest (timestamps live only in the manifest, never in the CSV
-payloads).
+seed, library versions, the CPU count and the BLAS thread settings, so a
+run can be reproduced byte-for-byte from its manifest on the same thread
+settings (timings never enter the CSV payloads).
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Any, Iterator
 
 import numpy as np
-import scipy
 
 from . import __version__
 
@@ -33,6 +33,11 @@ __all__ = [
     "iter_csv_rows",
     "read_csv_rows",
 ]
+
+#: Environment variables that set the BLAS thread count.  The bytes of a
+#: factorisation can depend on it, so the manifest records each (None when
+#: unset).
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_scalar(raw: str, typ: type) -> Any:
@@ -98,9 +103,10 @@ def write_manifest(out_dir: str | Path, subcommand: str, config: dict[str, Any])
         "versions": {
             "amcmc": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
+        "cpu_count": os.cpu_count(),
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARIABLES},
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")

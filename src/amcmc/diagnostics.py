@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .config import iter_csv_rows, write_csv
 
@@ -103,7 +103,7 @@ def phi_max(trace: Trace, k_max: int = 20) -> PhiMaxReport:
     """
     if k_max < 1 or k_max > trace.t // 10:
         raise ValueError("require 1 <= k_max <= t / 10")
-    threshold = float(ndtri(0.95 ** (1.0 / k_max))) / np.sqrt(trace.t - k_max)
+    threshold = NormalDist().inv_cdf(0.95 ** (1.0 / k_max)) / np.sqrt(trace.t - k_max)
     gamma = _autocovariance(trace.samples)
     constant = gamma[0] == 0.0
     rho = gamma[1 : k_max + 1] / np.where(constant, np.nan, gamma[0])  # (k_max, p)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .distributions import SeededRng, sample_discrete
 
@@ -118,6 +117,36 @@ def se_covariance(X: np.ndarray, phi: float) -> np.ndarray:
     return np.exp(-phi * d2)
 
 
+def _lower_gamma_inv(a: int, q: float) -> float:
+    """x with P(a, x) = q, P the regularized lower incomplete gamma function,
+    for an integer a >= 1 and q in (0, 1] (inf at q = 1).
+
+    P(a, x) = x^a e^{-x} S(x) / a!, with the series S(x) = sum_n x^n a! /
+    (a + n)!, and d log P / d log x = a / S.  Newton's method in log x
+    starts at (a! q)^{1/a}, where x^a / a! = q, below the root, and climbs
+    to it monotonically: log P is concave in log x (a log-gamma variable has
+    a log-concave density).  Each step takes the log of the ratio P / q, so
+    for q <= 0.1 the root comes out within an ulp or two, even near
+    q = 1e-300."""
+    if q >= 1.0:
+        return math.inf
+    fact_q = math.factorial(a) * q
+    x = fact_q ** (1.0 / a)
+    for _ in range(100):
+        term = total = 1.0
+        n = a
+        while term > 1e-17 * total:
+            n += 1
+            term *= x / n
+            total += term
+        step = math.log(x**a * math.exp(-x) * total / fact_q) * total / a
+        x *= math.exp(-step)
+        # the log's rounding, scaled by total / a, is the step's noise floor
+        if abs(step) <= 1e-15 * total:
+            return x
+    raise ArithmeticError(f"P^-1({a}, {q}) did not converge")  # pragma: no cover
+
+
 def randomized_partial_eig(
     rng: SeededRng, Sigma: np.ndarray, delta: float, d_prob: int = 3
 ) -> LowRankFactor:
@@ -150,7 +179,7 @@ def randomized_partial_eig(
     target2 = (delta / 2.0) ** 2 if delta < 2.68e154 else math.inf
     # mean of _N_PROBES one-probe estimators; worst-case (rank-1 residual)
     # lower tail is chi2(_N_PROBES)/_N_PROBES; its quantile is 2 P^-1(k/2, q)
-    safety = _N_PROBES / (2 * gammaincinv(_N_PROBES / 2, 10.0 ** (-d_prob)))
+    safety = _N_PROBES / (2 * _lower_gamma_inv(_N_PROBES // 2, 10.0 ** (-d_prob)))
     # the scale of Sigma's spectrum: trace(Sigma) >= ||Sigma||_2 for a PSD
     # Sigma.  A projected column below 1e-12 of it is rounding noise.
     scale = max(1.0, float(np.trace(Sigma)))

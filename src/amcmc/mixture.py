@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.special import gammaln, ndtr, xlogy
 
 # sample_multinomial and sample_mvn stay importable from this module: the
 # benchmark's tracer (perfbench/workloads.py) wraps them by these names
@@ -319,35 +318,61 @@ def _norm_pdf(x: np.ndarray) -> np.ndarray:
 
 
 def _multinomial_pmf(x: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """Multinomial(n, p) pmf at the rows of x.  As in scipy.stats, the last
-    probability is replaced by one minus the others only when p misses the
-    simplex by more than 10 eps."""
+    """Multinomial(n, p) pmf at the rows of x, integer counts in [0, n].  As
+    in scipy.stats, the last probability is replaced by one minus the
+    others only when p misses the simplex by more than 10 eps."""
     p = np.array(p, dtype=np.float64)
     if abs(1.0 - p.sum()) > 10 * np.finfo(np.float64).eps:
         p[-1] = 1.0 - p[:-1].sum()
-    return np.exp(gammaln(n + 1) + np.sum(xlogy(x, p) - gammaln(x + 1), axis=-1))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # x log p, 0 where x = 0 whatever p is
+        x_log_p = np.where(x > 0, x * np.log(p), 0.0)
+    return np.exp(log_fact[n] + np.sum(x_log_p - log_fact[x], axis=-1))
+
+
+def _ndtr_scalar(x: float) -> float:
+    """Phi(x) as scipy.special.ndtr forms it: erf near 0, erfc in the tails."""
+    y = x * math.sqrt(0.5)
+    if abs(y) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(y)
+    tail = 0.5 * math.erfc(abs(y))
+    return 1.0 - tail if y > 0.0 else tail
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, entry by entry."""
+    return np.frompyfunc(_ndtr_scalar, 1, 1)(x).astype(np.float64)
+
+
+def _edge_cdf(z: np.ndarray, mean, sd) -> np.ndarray:
+    """Phi((e - mean) / sd) at the len(z) + 1 cell edges e = z - 1/2 and
+    z[-1] + 1/2 of consecutive integers z, along the last axis; a cell's
+    probability is the difference of its two edges'."""
+    edges = np.append(z - 0.5, z[-1] + 0.5)
+    return _ndtr((edges - mean) / sd)
 
 
 def _cell_prob_1d(mean: float, sd: float, z: np.ndarray) -> np.ndarray:
-    """P(W in [z - 1/2, z + 1/2]) for scalar Gaussian W."""
-    return ndtr((z + 0.5 - mean) / sd) - ndtr((z - 0.5 - mean) / sd)
+    """P(W in [z - 1/2, z + 1/2]) for scalar Gaussian W and consecutive
+    integers z."""
+    return np.diff(_edge_cdf(z, mean, sd))
 
 
-def _cell_prob_2d(mean: np.ndarray, cov: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Probability of the unit square around each integer pair in z
-    under a bivariate Gaussian, by Gauss-Legendre quadrature of the
-    conditional decomposition along the first coordinate."""
+def _cell_prob_2d(mean: np.ndarray, cov: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Probability of the unit square around each integer pair of the grid
+    a1 x a2 (consecutive integers each; rows in C order) under a bivariate
+    Gaussian, by Gauss-Legendre quadrature of the conditional decomposition
+    along the first coordinate."""
     s1 = math.sqrt(cov[0, 0])
     beta = cov[0, 1] / cov[0, 0]
     s2_cond = math.sqrt(max(cov[1, 1] - cov[0, 1] ** 2 / cov[0, 0], 1e-300))
     # nodes mapped into [z1 - 1/2, z1 + 1/2]
-    w1 = z[:, 0, None] + 0.5 * _GL_NODES[None, :]
+    w1 = a1[:, None] + 0.5 * _GL_NODES[None, :]
     dens = _norm_pdf((w1 - mean[0]) / s1) / s1
     cmean = mean[1] + beta * (w1 - mean[0])
-    upper = (z[:, 1, None] + 0.5 - cmean) / s2_cond
-    lower = (z[:, 1, None] - 0.5 - cmean) / s2_cond
-    inner = ndtr(upper) - ndtr(lower)
-    return 0.5 * (_GL_WEIGHTS[None, :] * dens * inner).sum(axis=1)
+    inner = np.diff(_edge_cdf(a2, cmean[:, :, None], s2_cond), axis=2)
+    return 0.5 * (_GL_WEIGHTS[None, :, None] * dens[:, :, None] * inner).sum(axis=1).ravel()
 
 
 def tv_multinomial_vs_rounded_gaussian(n: int, probs) -> float:
@@ -385,7 +410,7 @@ def tv_multinomial_vs_rounded_gaussian(n: int, probs) -> float:
         a2 = np.arange(los[1], his[1] + 1)
         g1, g2 = np.meshgrid(a1, a2, indexing="ij")
         grid = np.column_stack([g1.ravel(), g2.ravel()])
-        gauss = _cell_prob_2d(mean, cov, grid.astype(float))
+        gauss = _cell_prob_2d(mean, cov, a1.astype(float), a2.astype(float))
 
     last = n - grid.sum(axis=1)
     valid = (grid >= 0).all(axis=1) & (last >= 0)

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# sample_polya_gamma imports from scipy.special on every call; loading it
-# here keeps that first import out of a chain's first sweep
-import scipy.special  # noqa: F401
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .distributions import SeededRng, sample_polya_gamma
+from .distributions import SeededRng, _pg_table, sample_polya_gamma
+
+# the Polya-Gamma choice table, built here so that no chain's first sweep
+# pays for it
+_pg_table()
 
 __all__ = [
     "LogisticData",
@@ -100,10 +100,10 @@ class SubsetPolicy:
             raise ValueError("subset size must be positive")
 
 
-def _precision_factor(A: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Lower Cholesky factor of a precision matrix, as (L, lower=True)."""
+def _precision_factor(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a precision matrix A = L L'."""
     try:
-        return cholesky(A, lower=True), True
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ValueError(f"precision matrix not PD: {exc}") from exc
 
@@ -129,14 +129,12 @@ def _draw_beta(
 ) -> np.ndarray:
     """beta ~ N(S h, S), S = (scale * Xr' Omega Xr + B^{-1})^{-1}.
 
-    The draw is mean + L^{-T} z for A = L L', so matched seeds give
-    bit-identical draws whenever A and h match.
+    The draw is mean + L^{-T} z = L^{-T} (L^{-1} h + z) for A = L L', so
+    matched seeds give bit-identical draws whenever A and h match.
     """
-    A = scale * (Xr.T * omega) @ Xr + B_inv
-    factor = _precision_factor(A)
-    mean = cho_solve(factor, h)
+    L = _precision_factor(scale * (Xr.T * omega) @ Xr + B_inv)
     z = rng.normal(size=len(h))
-    return mean + solve_triangular(factor[0], z, lower=True, trans="T")
+    return np.linalg.solve(L.T, np.linalg.solve(L, h) + z)
 
 
 def gibbs_step_exact(rng: SeededRng, state: PGState, data: LogisticData, prior: Prior) -> PGState:
@@ -179,14 +177,15 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
     S1 = np.asarray(S1, dtype=np.float64)
     S2 = np.asarray(S2, dtype=np.float64)
     p = len(m1)
-    f2 = _precision_factor(S2)
-    f1 = _precision_factor(S1)
-    tr = float(np.trace(cho_solve(f2, S1)))
-    diff = m2 - m1
-    quad = float(diff @ cho_solve(f2, diff))
-    logdet1 = 2.0 * float(np.log(np.diag(f1[0])).sum())
-    logdet2 = 2.0 * float(np.log(np.diag(f2[0])).sum())
-    return 0.5 * (tr - p + quad + logdet2 - logdet1)
+    L1 = _precision_factor(S1)
+    L2 = _precision_factor(S2)
+    # tr(S2^{-1} S1) = ||L2^{-1} L1||_F^2 and the quadratic form is
+    # ||L2^{-1} (m2 - m1)||^2: one solve for both
+    W = np.linalg.solve(L2, np.column_stack([L1, m2 - m1]))
+    tr = float(np.sum(W[:, :p] ** 2))
+    quad = float(np.sum(W[:, p] ** 2))
+    logdet = 2.0 * float(np.log(np.diag(L2)).sum() - np.log(np.diag(L1)).sum())
+    return 0.5 * (tr - p + quad + logdet)
 
 
 def pinsker_tv(kl: float) -> float:
@@ -288,11 +287,13 @@ def _audit_tv(
     h = data.Xt_kappa
     rows = state.subset
     Xr = data.X[rows]
-    full = _precision_factor((data.X.T * omega_full) @ data.X + B_inv)
-    sub = _precision_factor((data.N / len(rows)) * (Xr.T * omega_full[rows]) @ Xr + B_inv)
-    tr = float(np.sum(solve_triangular(sub[0], full[0], lower=True) ** 2))
-    quad = float(np.sum((full[0].T @ (cho_solve(full, h) - cho_solve(sub, h))) ** 2))
-    logdet = 2.0 * float(np.log(np.diag(sub[0])).sum() - np.log(np.diag(full[0])).sum())
+    A_full = (data.X.T * omega_full) @ data.X + B_inv
+    A_sub = (data.N / len(rows)) * (Xr.T * omega_full[rows]) @ Xr + B_inv
+    full = _precision_factor(A_full)
+    sub = _precision_factor(A_sub)
+    tr = float(np.sum(np.linalg.solve(sub, full) ** 2))
+    quad = float(np.sum((full.T @ (np.linalg.solve(A_full, h) - np.linalg.solve(A_sub, h))) ** 2))
+    logdet = 2.0 * float(np.log(np.diag(sub)).sum() - np.log(np.diag(full)).sum())
     return pinsker_tv(0.5 * (tr - data.p + quad + logdet))
 
 

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from amcmc.distributions import (
+    _PG_STEP,
+    _PG_T,
+    _pg_p_right,
+    _pg_right,
+    _pg_table,
     SeededRng,
     polya_gamma_mean,
     sample_dirichlet,
@@ -229,3 +234,79 @@ def test_pg_mean_decreasing_in_tilt():
     means = [sample_polya_gamma(rng, np.full(20000, c)).mean() for c in (0.0, 1.0, 3.0)]
     assert means[0] > means[1] > means[2]
 
+
+
+# ---------------------------------------------------------------------------
+# Polya-Gamma piece choice: the table against the scipy.special form
+# ---------------------------------------------------------------------------
+
+
+def _scipy_p_right(z: np.ndarray) -> np.ndarray:
+    """The envelope masses' p / (p + q) as scipy.special forms them, through
+    log_ndtr, logaddexp and expit."""
+    from scipy.special import expit, log_ndtr
+
+    rate = 0.125 * math.pi**2 + 0.5 * z * z
+    rt = math.sqrt(_PG_T)
+    log_q_over_p = (
+        math.log(4.0 / math.pi)
+        + np.log(rate)
+        + rate * _PG_T
+        + np.logaddexp(log_ndtr((_PG_T * z - 1.0) / rt) - z, log_ndtr(-(_PG_T * z + 1.0) / rt) + z)
+    )
+    return expit(-log_q_over_p)
+
+
+def test_pg_table_is_strictly_decreasing():
+    lo, hi = _pg_table()
+    ends = np.array([_pg_p_right(k / _PG_STEP) for k in range(lo.size + 1)])
+    assert np.all(np.diff(ends) < 0.0)
+    assert np.all(lo < hi)
+    # a bracket spans its cell's two end values
+    assert np.all(lo <= ends[1:]) and np.all(ends[:-1] <= hi)
+
+
+def test_pg_table_brackets_contain_the_scipy_form():
+    """On a dense grid up to z = 40, every z of the table lies in a cell
+    whose bracket contains the scipy form's p_right; beyond the table the
+    exact scalar form is within 1e-13 of it (both lose about |log(q/p)|
+    ulp; 1.4e-14 measured) and below the smallest nonzero uniform, 2^-53."""
+    lo, hi = _pg_table()
+    z = np.concatenate([np.linspace(0.0, 40.0, 2_000_001), np.arange(lo.size + 1) / _PG_STEP])
+    want = _scipy_p_right(z)
+    k = (z * _PG_STEP).astype(np.intp)
+    inside = k < lo.size
+    assert np.all(lo[k[inside]] <= want[inside]) and np.all(want[inside] <= hi[k[inside]])
+    beyond = np.linspace(lo.size / _PG_STEP, 40.0, 28_001)
+    got = np.array([_pg_p_right(float(v)) for v in beyond])
+    np.testing.assert_allclose(got, _scipy_p_right(beyond), rtol=1e-13, atol=0.0)
+    assert np.all(got < 2.0**-53)
+
+
+def test_pg_choice_equals_the_scipy_form_on_a_million_decisions():
+    """u < p_right(z) from the table (and the exact scalar where the table
+    cannot decide) equals the scipy form's decision: z from the tilts a
+    chain sees, from cell edges and from beyond the table; u uniform, and
+    u placed 1e-11 (relative) either side of p_right, inside the table's
+    margin but outside the 1.4e-14 the two forms differ by."""
+    g = np.random.default_rng(20)
+    z = np.concatenate([
+        0.5 * np.abs(g.normal(0.0, 2.4, 800_000)),
+        g.uniform(0.0, 40.0, 150_000),
+        g.integers(0, 12 * _PG_STEP + 1, 50_000) / _PG_STEP,
+    ])
+    u = g.uniform(size=z.size)
+    assert np.array_equal(_pg_right(u, z), u < _scipy_p_right(z))
+    near = z[g.choice(z.size, 20_000, replace=False)]
+    p = _scipy_p_right(near)
+    for u in (p * (1.0 - 1e-11), p * (1.0 + 1e-11)):
+        assert np.array_equal(_pg_right(u, near), u < p)
+
+
+def test_pg_p_right_finite_for_huge_tilts():
+    """The exact scalar form never overflows: its log-odds stay in log
+    space and it reads 0 once the exponential rate overflows."""
+    for c in (24.0, 1e3, 1e10, 1e100, 1e154, 1e155, 1e200, 1e300, 1.7e308):
+        p = _pg_p_right(0.5 * c)
+        assert math.isfinite(p) and 0.0 <= p < 2.0**-53, (c, p)
+    assert _pg_p_right(0.5 * 1e300) == 0.0

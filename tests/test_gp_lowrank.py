@@ -447,15 +447,33 @@ def test_public_functions_agree_with_and_without_the_projection():
 
 
 def test_probe_safety_quantile_equals_scipy_stats_chi2_ppf():
-    """randomized_partial_eig takes the chi2 quantile as 2 P^-1(k/2, q);
-    it must give chi2.ppf's bits (chdtri does not) over the probe counts
-    and failure levels it can see."""
-    from scipy.special import gammaincinv
+    """randomized_partial_eig takes the chi2(_N_PROBES) quantile at
+    q = 10^-d_prob as 2 P^-1(_N_PROBES / 2, q), solved in ``math``.  Over
+    every d_prob the CLI accepts it is within 256 ulp of chi2.ppf (170
+    measured), and within 2 ulp of a 60-digit mpmath root (1 measured);
+    the gap is chi2.ppf's own error.  q = 1 (d_prob = 0) gives inf, as
+    chi2.ppf does."""
+    import mpmath
     from scipy.stats import chi2
 
-    for df in range(1, 41):
-        q = 10.0 ** -np.linspace(0.5, 12.0, 24)
-        assert np.array_equal(2 * gammaincinv(df / 2, q), chi2.ppf(q, df=df))
+    from amcmc.gp_lowrank import _N_PROBES, _lower_gamma_inv
+
+    a = _N_PROBES // 2
+    assert _lower_gamma_inv(a, 1.0) == math.inf == chi2.ppf(1.0, _N_PROBES)
+    mpmath.mp.dps = 60
+    for d_prob in range(1, 301):
+        q = 10.0 ** (-d_prob)
+        got = 2.0 * _lower_gamma_inv(a, q)
+        want = chi2.ppf(q, _N_PROBES)
+        assert abs(got - want) <= 256 * np.spacing(want), d_prob
+        if d_prob % 10 == 1:
+            log_q = mpmath.log(mpmath.mpf(q))
+            root = mpmath.findroot(
+                lambda y: mpmath.log(mpmath.gammainc(a, 0, mpmath.exp(y), regularized=True)) - log_q,
+                math.log(want / 2.0), tol=mpmath.mpf(10) ** -50,
+            )
+            exact = 2.0 * float(mpmath.exp(root))
+            assert abs(got - exact) <= 2 * np.spacing(exact), d_prob
 
 
 def test_mh_griddy_step_returns_valid_state():
