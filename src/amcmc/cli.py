@@ -281,16 +281,15 @@ def finite_chain_checks() -> list[tuple[str, bool, float]]:
     checks: list[tuple[str, bool, float]] = []
 
     worst = 0.0
+    ts = np.arange(1, 201)
     for a in (0.05, 0.25, 0.45):
         P = fc.two_state_symmetric(a)
         alpha = 2.0 * a
         for gamma in (0.0, 0.2):
             nu = fc.FiniteMeasure(np.array([gamma, 1.0 - gamma]))
-            tv0 = 0.5 - gamma
-            for t in range(1, 201):
-                lhs = fc.cesaro_tv(nu, P, t)
-                rhs = bnd.tv_bound_exact(alpha, bnd.BoundInputs(t=t, tv0=tv0))
-                worst = max(worst, abs(lhs - rhs))
+            lhs = fc.cesaro_tv(nu, P, ts)
+            rhs = bnd.tv_bound_exact(alpha, bnd.BoundInputs(t=ts, tv0=0.5 - gamma))
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
     checks.append(("tv_sharpness", worst <= 1e-12, worst))
 
     worst = 0.0
@@ -303,31 +302,28 @@ def finite_chain_checks() -> list[tuple[str, bool, float]]:
     checks.append(("stationary_gap", worst <= 1e-12, worst))
 
     worst = 0.0
+    ts = np.array([1, 5, 25, 100])
+    nu = fc.FiniteMeasure(np.array([0.0, 1.0]))
     for eps in (0.01, 0.05, 0.1):
         Ps = fc.two_state_shifted(a, eps)
-        alpha_eps = fc.doeblin_alpha(Ps)
-        worst = max(worst, abs(alpha_eps - (2.0 * a - 2.0 * eps)))
-        nu = fc.FiniteMeasure(np.array([0.0, 1.0]))
-        for t in (1, 5, 25, 100):
-            lhs = fc.cesaro_tv(nu, Ps, t)
-            params = bnd.ErgodicityParams(2.0 * a, eps)
-            rhs = bnd.tv_bound_approx(params, t, 0.5) - eps / (2.0 * a)
-            worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(fc.doeblin_alpha(Ps) - (2.0 * a - 2.0 * eps)))
+        params = bnd.ErgodicityParams(2.0 * a, eps)
+        rhs = bnd.tv_bound_approx(params, ts, 0.5) - eps / (2.0 * a)
+        worst = max(worst, float(np.abs(fc.cesaro_tv(nu, Ps, ts) - rhs).max()))
     checks.append(("shifted_kernel", worst <= 1e-12, worst))
 
     # covariance bound: equality on the symmetric chain, inequality on
     # random kernels
-    worst = 0.0
     P = fc.two_state_symmetric(a)
     f = np.array([-1.0, 1.0])
-    for k in range(0, 20):
-        cov = fc.exact_autocovariance(P, f, k)
-        worst = max(worst, abs(cov - (1.0 - 2.0 * a) ** k))
+    lags = np.arange(20)
+    worst = float(np.abs(fc.exact_autocovariance(P, f, lags) - (1.0 - 2.0 * a) ** lags).max())
     checks.append(("covariance_equality", worst <= 1e-12, worst))
 
     rng = SeededRng(20240817)
     ok = True
     margin = 0.0
+    lags = np.arange(6)
     for _ in range(100):
         K = 3 + int(rng.uniform() * 3)
         M = rng.uniform(size=(K, K)) + 0.05
@@ -336,11 +332,10 @@ def finite_chain_checks() -> list[tuple[str, bool, float]]:
         alpha = fc.doeblin_alpha(P)
         f = rng.uniform(size=K)
         fstar = 0.5 * (f.max() - f.min())
-        for k in range(0, 6):
-            cov = fc.exact_autocovariance(P, f, k)
-            bound = (1.0 - alpha) ** k * fstar * fstar
-            margin = max(margin, cov - bound)
-            ok = ok and cov <= bound + 1e-12
+        cov = fc.exact_autocovariance(P, f, lags)
+        bound = (1.0 - alpha) ** lags * fstar * fstar
+        margin = max(margin, float((cov - bound).max()))
+        ok = ok and bool(np.all(cov <= bound + 1e-12))
     checks.append(("covariance_inequality", ok, margin))
     return checks
 

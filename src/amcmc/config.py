@@ -18,7 +18,7 @@ import json
 import os
 import platform
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "config_hash",
     "write_manifest",
     "write_csv",
-    "iter_csv_rows",
     "read_csv_rows",
 ]
 
@@ -134,16 +133,9 @@ def write_csv(path: str | Path, header, rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def iter_csv_rows(path: str | Path) -> Iterator[list[str]]:
-    """The header row of a CSV file (empty for an empty file), then each
-    nonblank row after it, read one at a time, so a caller that converts
-    each row never holds a long file as strings."""
+def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The header row of a CSV file (empty for an empty file) and each
+    nonblank row after it."""
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        yield next(r, [])
-        yield from (row for row in r if row)
-
-
-def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    rows = iter_csv_rows(path)
-    return next(rows), list(rows)
+        return next(r, []), [row for row in r if row]

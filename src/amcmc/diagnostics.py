@@ -22,13 +22,14 @@ functions of the trace.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .config import iter_csv_rows, write_csv
+from .config import write_csv
 
 __all__ = [
     "Trace",
@@ -204,6 +205,9 @@ def write_trace_csv(trace: Trace, path: str | Path, names=None) -> None:
 
 
 def read_trace_csv(path: str | Path) -> Trace:
-    rows = iter_csv_rows(path)
-    next(rows)  # header
-    return Trace(np.array([[float(v) for v in row] for row in rows]))
+    """The trace under a CSV file's header row.  Blank lines are skipped; a
+    ragged row or a non-numeric entry, "#" included, raises ``ValueError``."""
+    with warnings.catch_warnings():  # no rows reads as an empty array, which Trace refuses
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        samples = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8", comments=None)
+    return Trace(samples)

@@ -204,7 +204,12 @@ def _pg_left_proposal(gen: np.random.Generator, z: np.ndarray) -> np.ndarray:
         # the smaller root, mu / (1 + w/2 + sqrt(w + w^2/4)), has no cancellation
         cand = mu / (1.0 + 0.5 * w + np.sqrt(w + 0.25 * w * w))
         larger = gen.uniform(size=shape) * (mu + cand) > mu
-        cand = np.where(larger, mu * mu / cand, cand)
+        big = mu * mu / cand
+        if mu.min() < 1e-150:
+            # mu * mu underflows for mu < 1e-162 (tilts past 1e162); other means
+            # keep mu * mu / cand, whose rounding the seeded draws depend on
+            big = np.where(mu < 1e-150, mu * (mu / cand), big)
+        cand = np.where(larger, big, cand)
         todo = settle(todo, cand, cand <= _PG_T)
     return x
 

@@ -1,9 +1,10 @@
 """Exact computations on small finite-state Markov kernels.
 
 This is the oracle substrate for the closed-form bounds: Cesaro TV
-distances by iterated matrix-vector products, exact laws of ergodic
-averages by dynamic programming, stationary measures, and the two-state
-constructions that attain the TV bounds with equality.
+distances and autocovariances by iterated matrix-vector products, each
+over a whole grid of path lengths (or lags) in one pass, exact laws of
+ergodic averages by dynamic programming, stationary measures, and the
+two-state constructions that attain the TV bounds with equality.
 
 Caps: at most 16 states, and the ergodic-average DP runs to t <= 64.
 """
@@ -12,9 +13,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .bounds import _value
 
 __all__ = [
     "FiniteKernel",
@@ -29,7 +31,6 @@ __all__ = [
     "two_state_symmetric",
     "two_state_perturbed",
     "two_state_shifted",
-    "load_kernel",
     "MAX_STATES",
     "MAX_DP_STEPS",
 ]
@@ -83,11 +84,7 @@ def _tv(p: np.ndarray, q: np.ndarray) -> float:
 def doeblin_alpha(P: FiniteKernel) -> float:
     """1 minus the largest pairwise row TV distance."""
     m = P.matrix
-    worst = 0.0
-    for i in range(m.shape[0]):
-        for j in range(i + 1, m.shape[0]):
-            worst = max(worst, _tv(m[i], m[j]))
-    return 1.0 - worst
+    return 1.0 - 0.5 * float(np.abs(m[:, None, :] - m[None, :, :]).sum(axis=2).max())
 
 
 def invariant_measure(P: FiniteKernel, *, tol: float = 1e-10) -> FiniteMeasure:
@@ -113,18 +110,30 @@ def invariant_measure(P: FiniteKernel, *, tol: float = 1e-10) -> FiniteMeasure:
     raise ValueError("power iteration did not converge to a stationary measure")
 
 
-def cesaro_tv(nu: FiniteMeasure, P: FiniteKernel, t: int) -> float:
+def _running_pass(points, low: int, what: str, state, step, record):
+    """``record(state, n)`` at each requested n, from one pass that applies
+    ``step`` to ``state`` up to the largest n.  ``points`` is an int or an
+    array of them, each at least ``low``; a scalar gives a float."""
+    points = np.asarray(points)
+    if np.any(points < low):
+        raise ValueError(f"{what} must be >= {low}")
+    stops, where = np.unique(points, return_inverse=True)
+    values, done = np.empty(len(stops)), 0
+    for i, stop in enumerate(stops.tolist()):
+        for _ in range(stop - done):
+            state = step(state)
+        values[i], done = record(state, stop), stop
+    return _value(values[where].reshape(points.shape))
+
+
+def cesaro_tv(nu: FiniteMeasure, P: FiniteKernel, t):
     """Exact TV between the stationary law and the Cesaro average
-    (1/t) sum_{k=0}^{t-1} nu P^k."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    (1/t) sum_{k=0}^{t-1} nu P^k, at an int t or an array of them."""
     pi = invariant_measure(P).weights
-    cur = nu.weights.copy()
-    acc = np.zeros_like(cur)
-    for _ in range(t):
-        acc += cur
-        cur = cur @ P.matrix
-    return _tv(pi, acc / t)
+    return _running_pass(
+        t, 1, "t", (np.zeros_like(nu.weights), nu.weights),  # (sum of nu P^j for j < k, nu P^k)
+        lambda s: (s[0] + s[1], s[1] @ P.matrix), lambda s, n: _tv(pi, s[0] / n),
+    )
 
 
 def kernel_tv_sup(P: FiniteKernel, Q: FiniteKernel) -> float:
@@ -182,19 +191,14 @@ def ergodic_average_law(
     return support, probs
 
 
-def exact_autocovariance(
-    P: FiniteKernel, f: np.ndarray, k: int
-) -> float:
-    """Stationary lag-k autocovariance of f along the chain."""
-    if k < 0:
-        raise ValueError("lag must be >= 0")
+def exact_autocovariance(P: FiniteKernel, f: np.ndarray, k):
+    """Stationary lag-k autocovariance of f along the chain, at an int k or
+    an array of lags."""
     pi = invariant_measure(P).weights
     f = np.asarray(f, dtype=np.float64)
-    pkf = f.copy()
-    for _ in range(k):
-        pkf = P.matrix @ pkf
     mean = float(pi @ f)
-    return float(pi @ (f * pkf)) - mean * mean
+    cross = _running_pass(k, 0, "lag", f, lambda pkf: P.matrix @ pkf, lambda pkf, _: pi @ (f * pkf))
+    return cross - mean * mean
 
 
 def simulate_path(rng, P: FiniteKernel, nu: FiniteMeasure, t: int) -> np.ndarray:
@@ -237,8 +241,3 @@ def two_state_shifted(a: float, eps: float) -> FiniteKernel:
     """Symmetric kernel with both off-diagonals shrunk to a - eps; Doeblin
     constant 2a - 2 eps, stationary law still uniform."""
     return two_state_symmetric(a - eps)
-
-
-def load_kernel(path: str | Path) -> FiniteKernel:
-    """Read a kernel from a plain-text file of whitespace-separated rows."""
-    return FiniteKernel(np.atleast_2d(np.loadtxt(path, dtype=np.float64)))

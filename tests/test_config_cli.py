@@ -451,6 +451,30 @@ def test_cli_diagnose_empty_trace_exits_2_with_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "trace needs at least 2 steps"
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("x0,x1\n", "trace needs at least 2 steps"),  # header only
+        ("x0,x1\n1.0,2.0\n3.0,4.0,5.0\n", "number of columns"),  # ragged row
+        ("x0,x1\n1.0,2.0\n3.0,abc\n", "could not convert"),  # non-numeric entry
+        ("x0,x1\n1.0,2.0\n3.0,4.0#5\n", "could not convert"),  # "#" is no comment
+    ],
+)
+def test_cli_diagnose_bad_trace_exits_2_with_one_json_line(tmp_path, text, error):
+    """In a fresh process, so that a warning printed on the way would show
+    on stderr next to the record."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    code = "import sys; from amcmc.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _fresh_python(code, "diagnose", "--trace", str(trace), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0])
+    assert record["subcommand"] == "diagnose" and error in record["error"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_cli_options_are_settings():
     """Every option of every subcommand is --config, --out, a key of the
     subcommand's schema, or --budget-steps where the schema has ``steps``."""

@@ -337,3 +337,10 @@ def test_trace_csv_roundtrip_is_exact(tmp_path):
     path2 = tmp_path / "trace2.csv"
     write_trace_csv(back, path2, names=["a", "b", "c"])
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_trace_csv_blank_lines_read_as_absent(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("a,b\n1.5,-2.0\n\n3.0,4.25\n\n5e-300,6.0\n")
+    back = read_trace_csv(path)
+    assert np.array_equal(back.samples, [[1.5, -2.0], [3.0, 4.25], [5e-300, 6.0]])

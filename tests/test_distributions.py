@@ -1,6 +1,10 @@
 """Seeded variate primitives, including the Polya-Gamma sampler."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,27 @@ def test_pg_p_right_finite_for_huge_tilts():
         p = _pg_p_right(0.5 * c)
         assert math.isfinite(p) and 0.0 <= p < 2.0**-53, (c, p)
     assert _pg_p_right(0.5 * 1e300) == 0.0
+
+
+def test_pg_huge_tilts_return():
+    """Tilts past about 1e162 once made the inverse Gaussian's larger root
+    mu^2 / x underflow to 0 and the acceptance loop spin forever; the draws
+    run in a fresh process under a timeout, so a regression fails here
+    instead of hanging the suite."""
+    import amcmc
+
+    code = (
+        "import numpy as np, warnings; warnings.simplefilter('ignore')\n"
+        "from amcmc.distributions import SeededRng, sample_polya_gamma\n"
+        "c = np.repeat([1e160, 1e165, 1e200, 1e300, 1.7e308], 20)\n"
+        "x = sample_polya_gamma(SeededRng(3), c)\n"
+        "assert (x > 0).all() and np.isfinite(x).all()\n"
+        "print(np.abs(c * x * 2.0 - 1.0).max())\n"
+    )
+    env = dict(os.environ)
+    root = str(Path(amcmc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # PG(1, c) concentrates at its mean tanh(c/2) / (2c) = 1 / (2c) for huge c
+    assert float(proc.stdout) <= 5e-16

@@ -17,7 +17,6 @@ from amcmc.finite_chain import (
     exact_autocovariance,
     invariant_measure,
     kernel_tv_sup,
-    load_kernel,
     simulate_path,
     two_state_perturbed,
     two_state_shifted,
@@ -68,6 +67,23 @@ def test_doeblin_alpha_identity_like():
     # near-reducible kernel: rows nearly disjoint -> alpha near 0
     P = FiniteKernel(np.array([[0.99, 0.01], [0.01, 0.99]]))
     assert doeblin_alpha(P) == pytest.approx(0.02, abs=1e-15)
+
+
+def _random_kernel(g, K):
+    """A K-state kernel with entries spread over several decades."""
+    m = g.uniform(size=(K, K)) ** 3 + 1e-3
+    return FiniteKernel(m / m.sum(axis=1, keepdims=True))
+
+
+def test_doeblin_alpha_equals_the_pairwise_loop():
+    g = np.random.default_rng(21)
+    for K in [1, 2] + list(range(3, 17)) * 5:
+        P = _random_kernel(g, K)
+        worst = 0.0
+        for i in range(K):
+            for j in range(i + 1, K):
+                worst = max(worst, 0.5 * float(np.abs(P.matrix[i] - P.matrix[j]).sum()))
+        assert doeblin_alpha(P) == 1.0 - worst
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +144,69 @@ def test_cesaro_tv_stationary_start_is_zero():
     nu = invariant_measure(P)
     for t in (1, 7, 40):
         assert cesaro_tv(nu, P, t) == pytest.approx(0.0, abs=1e-12)
+
+
+def _suite_cases():
+    """(nu, P) pairs of the verify-finite suite, then random 3-16-state
+    kernels with random initial laws."""
+    for a in (0.05, 0.25, 0.45):
+        for gamma in (0.0, 0.2):
+            yield FiniteMeasure(np.array([gamma, 1.0 - gamma])), two_state_symmetric(a)
+    for eps in (0.01, 0.05, 0.1):
+        yield FiniteMeasure(np.array([0.0, 1.0])), two_state_shifted(0.25, eps)
+    g = np.random.default_rng(17)
+    for K in range(3, 17):
+        w = g.uniform(size=K)
+        yield FiniteMeasure(w / w.sum()), _random_kernel(g, K)
+
+
+def test_cesaro_tv_curve_equals_scalar_calls():
+    """Each entry of a curve is the scalar call at that t, bit for bit, and
+    a scalar call is the per-t loop's arithmetic; t unsorted and repeated."""
+    ts = np.array([7, 1, 200, 3, 7, 50, 1, 2, 199])
+    for nu, P in _suite_cases():
+        curve = cesaro_tv(nu, P, ts)
+        assert curve.shape == ts.shape
+        assert curve.tolist() == [cesaro_tv(nu, P, t) for t in ts.tolist()]
+        pi = invariant_measure(P).weights
+        for t in (1, 7, 50):
+            cur, acc = nu.weights.copy(), np.zeros(P.n_states)
+            for _ in range(t):
+                acc += cur
+                cur = cur @ P.matrix
+            assert cesaro_tv(nu, P, t) == 0.5 * float(np.abs(pi - acc / t).sum())
+    assert isinstance(cesaro_tv(nu, P, 3), float)
+    assert cesaro_tv(nu, P, ts.reshape(3, 3)).shape == (3, 3)
+
+
+def test_exact_autocovariance_curve_equals_scalar_calls():
+    ks = np.array([5, 0, 19, 2, 5, 0, 11, 1])
+    g = np.random.default_rng(5)
+    for _, P in _suite_cases():
+        f = g.normal(size=P.n_states)
+        curve = exact_autocovariance(P, f, ks)
+        assert curve.tolist() == [exact_autocovariance(P, f, k) for k in ks.tolist()]
+        pi = invariant_measure(P).weights
+        for k in (0, 2, 11):
+            pkf = f.copy()
+            for _ in range(k):
+                pkf = P.matrix @ pkf
+            mean = float(pi @ f)
+            assert exact_autocovariance(P, f, k) == float(pi @ (f * pkf)) - mean * mean
+    assert isinstance(exact_autocovariance(P, f, 3), float)
+
+
+def test_curves_refuse_one_bad_point():
+    P = two_state_symmetric(0.25)
+    nu = FiniteMeasure(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        cesaro_tv(nu, P, np.array([3, 1, 0, 5]))
+    with pytest.raises(ValueError):
+        cesaro_tv(nu, P, 0)
+    with pytest.raises(ValueError):
+        exact_autocovariance(P, np.array([-1.0, 1.0]), np.array([2, -1, 4]))
+    with pytest.raises(ValueError):
+        exact_autocovariance(P, np.array([-1.0, 1.0]), -1)
 
 
 def test_kernel_tv_sup():
@@ -254,11 +333,3 @@ def test_simulate_path_occupation_matches_stationary():
     nu = invariant_measure(P)
     path = simulate_path(SeededRng(11), P, nu, 100_000)
     assert path.mean() == pytest.approx(0.5, abs=0.01)
-
-
-def test_load_kernel_roundtrip(tmp_path):
-    P = two_state_perturbed(0.25, 0.03)
-    path = tmp_path / "kernel.txt"
-    np.savetxt(path, P.matrix)
-    Q = load_kernel(path)
-    assert np.allclose(P.matrix, Q.matrix, atol=1e-15)
