@@ -363,7 +363,6 @@ def run_mixture_experiment(cfg: dict) -> dict:
     )
     top = sorted(data.cells, key=lambda c: (-data.cells[c], c))[: cfg["top_cells"]]
     top_index = np.array(top, dtype=np.int64).reshape(len(top), cfg["p"])
-    variables = np.arange(cfg["p"])
 
     # grow the table linearly during burn-in to dodge bad modes: burn-in
     # sweep i sees the cells in sorted order up to a tenth of the counts
@@ -383,11 +382,7 @@ def run_mixture_experiment(cfg: dict) -> dict:
             else:
                 state = mix.gibbs_step_approx(rng, state, cur, priors, n_min)
             if i >= cfg["burn_in"]:
-                # pi on the top cells: nu times lambda^(j) for j = 0, ..., p-1
-                # in turn, the order of cell_probability, then summed over h
-                factors = state.lam[variables, :, top_index]  # (top, p, K)
-                nu = np.broadcast_to(state.nu, (len(top), 1, len(state.nu)))
-                rows[i - cfg["burn_in"]] = np.concatenate([nu, factors], axis=1).prod(axis=1).sum(axis=1)
+                rows[i - cfg["burn_in"]] = mix.cell_probability(state.nu, state.lam, top_index)
         return rows
 
     exact = run(math.inf, stream=1)
@@ -447,13 +442,11 @@ def run_logistic_experiment(cfg: dict) -> dict:
         )
     rng_sim = SeededRng(cfg["seed"], stream=0)
     data, beta_true = pg.simulate_logistic(rng_sim, cfg["N"], cfg["p"])
-    b = np.zeros(data.p)
     B = cfg["prior_var"] * np.eye(data.p)
 
     exact = pg.run_chain(
         SeededRng(cfg["seed"], stream=1),
         data,
-        b,
         B,
         cfg["steps"],
         cfg["burn_in"],
@@ -466,7 +459,6 @@ def run_logistic_experiment(cfg: dict) -> dict:
         res = pg.run_chain(
             SeededRng(cfg["seed"], stream=1),
             data,
-            b,
             B,
             cfg["steps"],
             cfg["burn_in"],
@@ -548,12 +540,7 @@ def cmd_gp(cfg: dict, out: Path) -> int:
     sampler = gp.GPSampler(
         SeededRng(cfg["seed"], stream=1), model, delta, cfg["d_prob"]
     )
-    run = sampler.run(
-        SeededRng(cfg["seed"], stream=2),
-        cfg["steps"],
-        cfg["burn_in"],
-        collect_predictive=True,
-    )
+    run = sampler.run(SeededRng(cfg["seed"], stream=2), cfg["steps"], cfg["burn_in"])
     trace = run["trace"]
     diag.write_trace_csv(
         diag.Trace(trace),

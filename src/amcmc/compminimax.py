@@ -10,7 +10,7 @@ length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -111,21 +111,20 @@ class CompminimaxProblem:
 
     def bound_at(self, eps, t):
         """The bound at error ``eps`` and path length ``t`` (broadcasting);
-        eps = 0 takes the exact chain's bound."""
-        params = ErgodicityParams(self.alpha, eps)
-        inputs = BoundInputs(t=t, tv0=self.tv0, fstar=self.fstar)
+        eps = 0 takes the exact chain's bound.  Each entry evaluates its own
+        form only."""
+        eps, t = np.broadcast_arrays(np.asarray(eps, dtype=np.float64), np.asarray(t))
+        exact = eps == 0.0
+        inputs = BoundInputs(t=t[exact], tv0=self.tv0, fstar=self.fstar)
+        params = ErgodicityParams(self.alpha, eps[~exact])
+        out = np.empty(eps.shape)
         if self.discrepancy == "tv":
-            exact = tv_bound_exact(self.alpha, inputs)
-            approx = tv_bound_approx(params, t, self.tv0_eps)
+            out[exact] = tv_bound_exact(self.alpha, inputs)
+            out[~exact] = tv_bound_approx(params, t[~exact], self.tv0_eps)
         else:
-            exact = l2_bound_exact(self.alpha, inputs)
-            approx = l2_bound_approx(params, t, self.tv0_eps, self.fstar)
-        return _value(np.where(np.asarray(eps) == 0.0, exact, approx))
-
-
-def _path_length(fn: SpeedupFn, eps, tau_max: float) -> np.ndarray:
-    """floor(s(eps) * tau_max), at least 1."""
-    return np.maximum(1, np.floor(speedup_eval(fn, eps) * tau_max)).astype(np.int64)
+            out[exact] = l2_bound_exact(self.alpha, inputs)
+            out[~exact] = l2_bound_approx(params, t[~exact], self.tv0_eps, self.fstar)
+        return _value(out)
 
 
 def epsilon_compminimax(
@@ -136,11 +135,7 @@ def epsilon_compminimax(
     Returns (eps_c, t_opt, bound_at_opt).  Ties break toward the smallest
     eps (the first minimum), so the search is fully deterministic.
     """
-    grid = _default_grid(problem.alpha, problem.grid_size)
-    t = _path_length(fn, grid, problem.tau_max)
-    bound = problem.bound_at(grid, t)
-    i = int(np.argmin(bound))
-    return float(grid[i]), int(t[i]), float(bound[i])
+    return curve_epsilon_vs_budget(problem, fn, [problem.tau_max])[0][3:]
 
 
 CURVE_CSV_HEADER = ("tau_max", "form", "alpha", "eps_c", "t_opt", "bound_at_opt")
@@ -151,14 +146,23 @@ def curve_epsilon_vs_budget(
     fn: SpeedupFn,
     tau_grid: Iterable[float],
 ) -> list[tuple[float, str, float, float, int, float]]:
-    """One epsilon_compminimax row per budget; rows follow
-    :data:`CURVE_CSV_HEADER`."""
+    """One :func:`epsilon_compminimax` row per budget, the template's own
+    ``tau_max`` replaced by each entry of ``tau_grid``; rows follow
+    :data:`CURVE_CSV_HEADER`.  Every budget's argmin comes from one
+    (budgets x eps) array of bounds."""
     taus = list(tau_grid)
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be sorted ascending")
-    rows = []
     for tau in taus:
-        problem = replace(problem_template, tau_max=tau)
-        eps_c, t_opt, bound = epsilon_compminimax(problem, fn)
-        rows.append((tau, fn.form, problem.alpha, eps_c, t_opt, bound))
-    return rows
+        if not tau >= 1:
+            raise ValueError(f"tau_max must be >= 1, got {tau}")
+    grid = _default_grid(problem_template.alpha, problem_template.grid_size)
+    # floor(s(eps) tau), at least 1, for every budget (rows) and eps (columns)
+    t = np.floor(speedup_eval(fn, grid) * np.array(taus, dtype=np.float64)[:, None])
+    t = np.maximum(1, t).astype(np.int64)
+    bound = problem_template.bound_at(grid, t)
+    best = np.argmin(bound, axis=1)
+    return [
+        (tau, fn.form, problem_template.alpha, float(grid[i]), int(t[k, i]), float(bound[k, i]))
+        for k, (tau, i) in enumerate(zip(taus, best.tolist()))
+    ]

@@ -18,7 +18,6 @@ __all__ = [
     "sample_dirichlet",
     "sample_multinomial",
     "sample_mvn",
-    "sample_gamma",
     "sample_discrete",
     "sample_polya_gamma",
     "polya_gamma_mean",
@@ -41,19 +40,12 @@ class SeededRng:
             np.random.Philox(key=(self.seed << 16) + self.stream)
         )
 
-    def spawn(self, stream: int) -> "SeededRng":
-        """Independent generator sharing this seed on another stream."""
-        return SeededRng(self.seed, stream)
-
     # thin pass-throughs used throughout the samplers
     def uniform(self, size=None):
         return self._gen.uniform(size=size)
 
     def normal(self, size=None):
         return self._gen.standard_normal(size=size)
-
-    def exponential(self, size=None):
-        return self._gen.standard_exponential(size=size)
 
     def subset(self, n: int, size: int) -> np.ndarray:
         """Sorted indices of a uniform draw of ``size`` of range(n), without
@@ -69,26 +61,25 @@ def sample_dirichlet(rng: SeededRng, concentration) -> np.ndarray:
     if np.any(conc <= 0.0):
         raise ValueError("Dirichlet concentrations must be positive")
     gen = rng._gen
-    if conc.ndim > 1:
-        state = gen.bit_generator.state
-        g = gen.gamma(conc)
-        total = g.sum(axis=-1, keepdims=True)
-        if not (total == 0.0).any():
-            return g / total
-        # a row underflowed: replay the rows one at a time so its fallback
-        # draw comes where the loop would take it
-        gen.bit_generator.state = state
-        rows = [sample_dirichlet(rng, row) for row in conc.reshape(-1, conc.shape[-1])]
-        return np.array(rows).reshape(conc.shape)
+    state = gen.bit_generator.state
     g = gen.gamma(conc)
-    total = g.sum()
-    if total == 0.0:
-        # all-tiny concentrations can underflow; fall back to the argmax
-        # convention (a draw concentrated on one coordinate)
-        out = np.zeros_like(conc)
-        out[int(gen.integers(len(conc)))] = 1.0
-        return out
-    return g / total
+    total = g.sum(axis=-1, keepdims=True)
+    if not (total == 0.0).any():
+        return g / total
+    # all-tiny concentrations can underflow to a zero total; such a row takes
+    # the argmax convention (all mass on one uniformly drawn coordinate).
+    # Replay the rows one at a time so its draw comes where the loop takes it.
+    gen.bit_generator.state = state
+    rows = conc.reshape(-1, conc.shape[-1])
+    out = np.zeros_like(rows)
+    for i, row in enumerate(rows):
+        g = gen.gamma(row)
+        total = g.sum()
+        if total == 0.0:
+            out[i, int(gen.integers(len(row)))] = 1.0
+        else:
+            out[i] = g / total
+    return out.reshape(conc.shape)
 
 
 def sample_multinomial(rng: SeededRng, n: int, probs) -> np.ndarray:
@@ -126,13 +117,6 @@ def sample_mvn(rng: SeededRng, mean, covariance) -> np.ndarray:
     return mean + root @ rng.normal(size=len(mean))
 
 
-def sample_gamma(rng: SeededRng, shape: float, rate: float) -> float:
-    """Gamma variate in the shape/rate parameterization."""
-    if shape <= 0.0 or rate <= 0.0:
-        raise ValueError("shape and rate must be positive")
-    return float(rng._gen.gamma(shape) / rate)
-
-
 def sample_discrete(rng: SeededRng, probs) -> int:
     """Inverse-CDF draw of an index from a probability vector."""
     p = np.asarray(probs, dtype=np.float64)
@@ -159,7 +143,8 @@ def _pg_coef(n: int, x: np.ndarray) -> np.ndarray:
     """Coefficient a_n(x) of the alternating series for the density of
     J*(1, 0): the small-x form on (0, t], the large-x form above t."""
     k = math.pi * (n + 0.5)
-    small = np.exp(math.log(k) - 1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
+    with np.errstate(over="ignore"):  # x below about 1e-308: the exponent is -inf, the term 0
+        small = np.exp(math.log(k) - 1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
     return np.where(x <= _PG_T, small, k * np.exp(-0.5 * k * k * x))
 
 
@@ -292,7 +277,8 @@ def _pg_right(u: np.ndarray, z: np.ndarray) -> np.ndarray:
     outside its cell's bracket, by the exact scalar p_right elsewhere and
     beyond the table."""
     lo, hi = _pg_table()
-    zs = z * _PG_STEP
+    with np.errstate(over="ignore"):  # inf is beyond the table too
+        zs = z * _PG_STEP
     inside = zs < lo.size
     k = np.where(inside, zs, 0.0).astype(np.intp)
     right = u < lo[k]
@@ -319,7 +305,8 @@ def sample_polya_gamma(rng: SeededRng, c) -> np.ndarray | float:
     if not np.isfinite(cv).all():
         raise ValueError("Polya-Gamma tilts must be finite")
     z = 0.5 * np.abs(cv)
-    rate = 0.125 * math.pi**2 + 0.5 * z * z
+    with np.errstate(over="ignore"):  # inf past z = 1e154, where p_right is 0
+        rate = 0.125 * math.pi**2 + 0.5 * z * z
 
     gen = rng._gen
     out = np.empty(z.size)

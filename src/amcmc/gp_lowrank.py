@@ -52,6 +52,9 @@ _BLOCK, _OVERSAMPLE, _N_PROBES = 8, 10, 10
 #: rate its burn-in adaptation aims at.
 _PROP_SCALE, _TARGET_ACCEPT = 0.2, 0.3
 
+#: Gamma(a, b) prior of each inverse scale, sigma^{-2} and tau^{-2}.
+_PRIOR_A, _PRIOR_B = 2.0, 1.0
+
 #: Predictive draws per matrix product, which bounds a pass's temporaries
 #: to a few (_ROW_BLOCK x max(n, r)) arrays.
 _ROW_BLOCK = 256
@@ -62,10 +65,6 @@ class GPModel:
     X: np.ndarray  # (n, q) inputs
     y: np.ndarray  # (n,) standardized responses
     phi_grid: np.ndarray
-    a_sigma: float = 2.0
-    b_sigma: float = 1.0
-    a_tau: float = 2.0
-    b_tau: float = 1.0
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
@@ -88,7 +87,6 @@ class LowRankFactor:
     U: np.ndarray  # (n, r) orthonormal columns
     lam: np.ndarray  # (r,) eigenvalues, descending
     delta: float
-    d_prob: int
     resid_fro: float  # measured ||Sigma - U diag(lam) U'||_F
     full_rank: bool = False  # basis reached n, or its next block would: dense eigh
 
@@ -254,7 +252,7 @@ def randomized_partial_eig(
             f"the rank-{m} factor (n = {n}) misses delta = {delta:.3e}: "
             f"||Sigma - U Lambda U'||_F = {resid_fro:.3e}; {floor} a floor near that"
         )
-    return LowRankFactor(Uf, lam, delta, d_prob, resid_fro, full_rank)
+    return LowRankFactor(Uf, lam, delta, resid_fro, full_rank)
 
 
 def eig_accuracy_metrics(
@@ -337,10 +335,10 @@ def marginal_loglik_dense(
     return -0.5 * (n * _LOG_2PI + logdet + float(half @ half))
 
 
-def _log_prior_logscale(x: float, a: float, b: float) -> float:
+def _log_prior_logscale(x: float) -> float:
     """Log-density of log(v) when v^{-1} ~ Gamma(a, b) (i.e. inverse-gamma
     v), expressed on the log scale with its Jacobian: -a x - b e^{-x}."""
-    return -a * x - b * math.exp(-x)
+    return -_PRIOR_A * x - _PRIOR_B * math.exp(-x)
 
 
 def _log_post(
@@ -348,8 +346,8 @@ def _log_post(
 ) -> float:
     return (
         marginal_loglik(model.y, factor, math.exp(log_s2), math.exp(log_t2), proj)
-        + _log_prior_logscale(log_s2, model.a_sigma, model.b_sigma)
-        + _log_prior_logscale(log_t2, model.a_tau, model.b_tau)
+        + _log_prior_logscale(log_s2)
+        + _log_prior_logscale(log_t2)
     )
 
 
@@ -499,22 +497,19 @@ class GPSampler:
     def mean_rank(self) -> float:
         return float(np.mean([f.r for f in self.factors]))
 
-    def run(
-        self,
-        rng: SeededRng,
-        steps: int,
-        burn_in: int,
-        init: GPState | None = None,
-        collect_predictive: bool = False,
-    ) -> dict:
+    def run(self, rng: SeededRng, steps: int, burn_in: int) -> dict:
+        """The chain from (sigma^2, tau^2) = (1, 1) at the middle of the phi
+        grid: its kept trace, acceptance rate, final proposal scale, and
+        ``pred_mean``, the mean over kept sweeps of one predictive draw
+        of f each."""
         if steps < 1 or burn_in < 0:
             raise ValueError(f"need steps >= 1 and burn_in >= 0, got {steps} and {burn_in}")
-        state = init or GPState(1.0, 1.0, len(self.factors) // 2)
+        state = GPState(1.0, 1.0, len(self.factors) // 2)
         scale = _PROP_SCALE
         n_accept = 0
         trace = np.empty((steps, 3))
         # each kept sweep's predictive draw is projected after the loop
-        Z = np.empty((steps, self.model.n)) if collect_predictive else None
+        Z = np.empty((steps, self.model.n))
         # y and the factors are fixed for the chain: project y once per factor
         projections = [_project(self.model.y, f) for f in self.factors]
         for i in range(burn_in + steps):
@@ -533,17 +528,13 @@ class GPSampler:
                 j = i - burn_in
                 n_accept += accepted
                 trace[j] = (state.sigma2, state.tau2, state.phi_index)
-                if collect_predictive:
-                    Z[j] = rng.normal(size=self.model.n)
-        out = {
+                Z[j] = rng.normal(size=self.model.n)
+        return {
             "trace": trace,
             "accept_rate": n_accept / steps,
             "prop_scale": scale,
+            "pred_mean": _predictive_sum(self.factors, projections, self.model.y, trace, Z) / steps,
         }
-        if collect_predictive:
-            y = self.model.y
-            out["pred_mean"] = _predictive_sum(self.factors, projections, y, trace, Z) / steps
-        return out
 
 
 def prediction_rmse_curve(

@@ -465,12 +465,14 @@ def gaussnmin_threshold(
 # ---------------------------------------------------------------------------
 
 
-def cell_probability(nu: np.ndarray, lam: np.ndarray, cell: Cell) -> float:
-    """pi(c) = sum_h nu_h prod_j lambda^(j)_{h, c_j}."""
-    w = nu.copy()
-    for j, cj in enumerate(cell):
-        w = w * lam[j, :, cj]
-    return float(w.sum())
+def cell_probability(nu: np.ndarray, lam: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """pi(c) = sum_h nu_h prod_j lambda^(j)_{h, c_j} for each row c of
+    ``index`` (cells x p), multiplying in the order nu, lambda^(0), ...,
+    lambda^(p-1)."""
+    w = np.broadcast_to(nu, (len(index), len(nu)))
+    for j in range(index.shape[1]):
+        w = w * lam[j][:, index[:, j]].T
+    return w.sum(axis=1)
 
 
 def simulate_contingency(
@@ -480,14 +482,12 @@ def simulate_contingency(
     K: int,
     N: int,
     priors: MixturePriors = MixturePriors(),
-    query_cells: list[Cell] | None = None,
 ) -> tuple[ContingencyData, np.ndarray, np.ndarray, dict[Cell, float]]:
     """Ancestral draw of N observations from a prior draw of the model.
 
     Returns (data, true_nu, true_lam, true_pi) where true_pi maps each
-    queried cell (default: every occupied cell) to its exact probability.
-    The table is kept sparse throughout; dense d**p storage is never
-    allocated.
+    occupied cell to its exact probability.  The table is kept sparse
+    throughout; dense d**p storage is never allocated.
     """
     if p * math.log(d) > 64 * math.log(2):
         raise ValueError("cell index space too large to enumerate safely")
@@ -510,7 +510,5 @@ def simulate_contingency(
             cells[c] = cells.get(c, 0) + 1
 
     data = ContingencyData(cells, p=p, d=d, K=K)
-    if query_cells is None:
-        query_cells = data.ordered_cells()
-    true_pi = {c: cell_probability(nu, lam, c) for c in query_cells}
+    true_pi = dict(zip(data.ordered_cells(), cell_probability(nu, lam, data.index).tolist()))
     return data, nu, lam, true_pi

@@ -1,15 +1,18 @@
 """Polya-Gamma Gibbs sampling for Bayesian logistic regression, exact and
 with subset-covariance approximation.
 
+The prior is beta ~ N(0, B).
+
 Exact sweep: omega_i ~ PG(1, x_i beta) for every observation, then
-beta ~ N(m_N, S_N) with S_N = (X' Omega X + B^{-1})^{-1} and
-m_N = S_N (X' kappa + B^{-1} b), kappa = y - 1/2.
+beta ~ N(S_N X' kappa, S_N) with S_N = (X' Omega X + B^{-1})^{-1},
+kappa = y - 1/2.
 
 Subset sweep: a uniform subset V is redrawn each step, omega is drawn only
 on V, and beta ~ N(S_V X' kappa, S_V) with
 S_V = ((N/|V|) X_V' Omega_V X_V + B^{-1})^{-1}.  Only the curvature matrix
-is subsampled; the mean keeps the full-data X' kappa.  With |V| = N (and
-b = 0) the two sweeps coincide draw for draw under a shared seed.
+is subsampled; the mean keeps the full-data X' kappa.  The exact sweep is
+the subset sweep at |V| = N, so the two coincide draw for draw under a
+shared seed.
 """
 
 from __future__ import annotations
@@ -108,17 +111,6 @@ def _precision_factor(A: np.ndarray) -> np.ndarray:
         raise ValueError(f"precision matrix not PD: {exc}") from exc
 
 
-#: (B^{-1}, B^{-1} b): all a step needs of the prior.  Both are fixed for a
-#: chain.
-Prior = tuple[np.ndarray, np.ndarray]
-
-
-def _prior_terms(b: np.ndarray, B: np.ndarray) -> Prior:
-    """B^{-1} and B^{-1} b, constant over a chain."""
-    B_inv = np.linalg.inv(B)
-    return B_inv, B_inv @ b
-
-
 def _draw_beta(
     rng: SeededRng,
     Xr: np.ndarray,
@@ -137,37 +129,38 @@ def _draw_beta(
     return np.linalg.solve(L.T, np.linalg.solve(L, h) + z)
 
 
-def gibbs_step_exact(rng: SeededRng, state: PGState, data: LogisticData, prior: Prior) -> PGState:
-    """Full-data PG sweep: all omega_i, then beta from its Gaussian
-    conditional.  ``prior`` is ``_prior_terms(b, B)``, formed once for the
-    chain."""
-    B_inv, shift = prior
-    omega = np.asarray(sample_polya_gamma(rng, data.X @ state.beta))
-    beta = _draw_beta(rng, data.X, omega, 1.0, B_inv, data.Xt_kappa + shift)
-    return PGState(beta, omega, np.arange(data.N))
-
-
-def gibbs_step_subset(
-    rng: SeededRng, state: PGState, data: LogisticData, prior: Prior, policy: SubsetPolicy
-) -> PGState:
-    """Subset-covariance PG sweep.
-
-    The subset is uniform without replacement and redrawn every step; when
-    the requested size reaches N the subset draw is skipped entirely so the
-    step consumes exactly the randomness, and does exactly the arithmetic,
-    of the exact sweep.  ``prior`` is as in :func:`gibbs_step_exact`.
-    """
-    size = min(policy.size, data.N)
-    if size < data.p + 1:
-        raise ValueError(f"subset size {size} below p + 1 = {data.p + 1}")
+def _sweep(rng: SeededRng, state: PGState, data: LogisticData, B_inv: np.ndarray, size: int) -> PGState:
+    """PG sweep on a uniform subset of ``size`` rows, drawn without
+    replacement; at size N the subset draw is skipped, so every row is
+    used and no variate is spent on the subset."""
     if size == data.N:
         rows, Xr = np.arange(data.N), data.X
     else:
         rows = rng.subset(data.N, size)
         Xr = data.X[rows]
     omega = np.asarray(sample_polya_gamma(rng, Xr @ state.beta))
-    beta = _draw_beta(rng, Xr, omega, data.N / size, prior[0], data.Xt_kappa)
+    beta = _draw_beta(rng, Xr, omega, data.N / size, B_inv, data.Xt_kappa)
     return PGState(beta, omega, rows)
+
+
+def gibbs_step_exact(rng: SeededRng, state: PGState, data: LogisticData, B_inv: np.ndarray) -> PGState:
+    """Full-data PG sweep: all omega_i, then beta from its Gaussian
+    conditional.  ``B_inv`` is the prior precision, formed once for the
+    chain."""
+    return _sweep(rng, state, data, B_inv, data.N)
+
+
+def gibbs_step_subset(
+    rng: SeededRng, state: PGState, data: LogisticData, B_inv: np.ndarray, policy: SubsetPolicy
+) -> PGState:
+    """Subset-covariance PG sweep, the subset redrawn every step.  A size
+    of N or more is the exact sweep, draw for draw.  ``B_inv`` is as in
+    :func:`gibbs_step_exact`.
+    """
+    size = min(policy.size, data.N)
+    if size < data.p + 1:
+        raise ValueError(f"subset size {size} below p + 1 = {data.p + 1}")
+    return _sweep(rng, state, data, B_inv, size)
 
 
 def gaussian_kl(m1, S1, m2, S2) -> float:
@@ -236,7 +229,6 @@ class ChainResult:
 def run_chain(
     rng: SeededRng,
     data: LogisticData,
-    b: np.ndarray,
     B: np.ndarray,
     steps: int,
     burn_in: int = 0,
@@ -244,7 +236,8 @@ def run_chain(
     audit_every: int = 0,
     audit_rng: SeededRng | None = None,
 ) -> ChainResult:
-    """Run the exact chain (policy None) or a subset chain.
+    """Run the exact chain (policy None) or a subset chain under the prior
+    N(0, B).
 
     When ``audit_every`` > 0 the subset chain records, every A-th step, the
     Pinsker TV bound between the beta conditional actually used (S_V) and
@@ -254,19 +247,19 @@ def run_chain(
     """
     beta = np.zeros(data.p)
     state = PGState(beta, np.full(data.N, 0.25), np.arange(data.N))
-    prior = _prior_terms(b, B)
+    B_inv = np.linalg.inv(B)
     keep = np.empty((steps, data.p))
     audit_steps: list[int] = []
     audit_tv: list[float] = []
     for i in range(burn_in + steps):
         if policy is None:
-            state = gibbs_step_exact(rng, state, data, prior)
+            state = gibbs_step_exact(rng, state, data, B_inv)
         else:
-            state = gibbs_step_subset(rng, state, data, prior, policy)
+            state = gibbs_step_subset(rng, state, data, B_inv, policy)
             if audit_every and (i % audit_every == 0):
                 if audit_rng is None:
                     raise ValueError("auditing requires audit_rng")
-                tv = _audit_tv(audit_rng, state, data, prior[0])
+                tv = _audit_tv(audit_rng, state, data, B_inv)
                 audit_steps.append(i)
                 audit_tv.append(tv)
         if i >= burn_in:
@@ -297,13 +290,11 @@ def _audit_tv(
     return pinsker_tv(0.5 * (tr - data.p + quad + logdet))
 
 
-def simulate_logistic(
-    rng: SeededRng, N: int, p: int, beta_true: np.ndarray | None = None
-) -> tuple[LogisticData, np.ndarray]:
-    """Synthetic standardized logistic data with known coefficients."""
-    if beta_true is None:
-        beta_true = np.linspace(-1.5, 1.5, p)
+def simulate_logistic(rng: SeededRng, N: int, p: int) -> tuple[LogisticData, np.ndarray]:
+    """Synthetic standardized logistic data with known coefficients, evenly
+    spaced on [-1.5, 1.5]."""
+    beta_true = np.linspace(-1.5, 1.5, p)
     X = rng.normal(size=(N, p))
     logits = X @ beta_true
     y = (rng.uniform(size=N) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
-    return LogisticData.standardize(X, y), np.asarray(beta_true, dtype=np.float64)
+    return LogisticData.standardize(X, y), beta_true

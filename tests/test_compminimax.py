@@ -1,6 +1,7 @@
 """Budget-constrained minimization of the error bounds over epsilon."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,6 +217,16 @@ def test_array_argmin_matches_scalar_loop(disc):
             ref_eps, ref_t, ref_bound = _scalar_compminimax(p, fn)
             assert (eps_c, t_opt) == (ref_eps, ref_t), (p, form)
             assert bound == pytest.approx(ref_bound, rel=1e-15, abs=0.0), (p, form)
+    # the curve: every budget of one alpha in one call, row by row against
+    # the loop at that budget
+    for alpha, p in {q.alpha: q for q in problems}.items():
+        taus = [q.tau_max for q in problems if q.alpha == alpha]
+        for form in FORMS + ("constant",):
+            fn = SpeedupFn(form, p.alpha)
+            for tau, row in zip(taus, curve_epsilon_vs_budget(p, fn, taus), strict=True):
+                ref_eps, ref_t, ref_bound = _scalar_compminimax(replace(p, tau_max=tau), fn)
+                assert row[:5] == (tau, form, p.alpha, ref_eps, ref_t), (p, tau, form)
+                assert row[5] == pytest.approx(ref_bound, rel=1e-15, abs=0.0), (p, tau, form)
 
 
 def test_speedup_and_bound_broadcast():

@@ -689,8 +689,8 @@ SUBCOMMAND_ARGV = {
 @pytest.mark.parametrize("name", list(SUBCOMMAND_ARGV))
 def test_cli_subcommand_runs_with_scipy_blocked(tmp_path, name):
     """The program needs numpy alone: with ``import scipy`` made to fail
-    before ``amcmc.cli`` is imported, every subcommand exits 0, and none
-    loads a scipy module."""
+    before ``amcmc.cli`` is imported, every subcommand exits 0, loads no
+    scipy module and writes nothing to stderr, not even a warning."""
     argv = SUBCOMMAND_ARGV[name]
     if name == "diagnose":
         argv = [*argv, str(_write_trace(tmp_path / "trace.csv"))]
@@ -701,6 +701,7 @@ def test_cli_subcommand_runs_with_scipy_blocked(tmp_path, name):
     proc = _fresh_python(code, *argv, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
+    assert proc.stderr == ""
 
 
 def test_cli_hooks_set_before_main_intercept_every_sampler(tmp_path):

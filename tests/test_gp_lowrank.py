@@ -26,7 +26,7 @@ from amcmc.gp_lowrank import (
     se_covariance,
     simulate_gp,
 )
-from amcmc.gp_lowrank import _PROP_SCALE, _TARGET_ACCEPT, _project
+from amcmc.gp_lowrank import _PRIOR_A, _PRIOR_B, _PROP_SCALE, _TARGET_ACCEPT, _project
 
 
 def test_se_covariance_basics():
@@ -175,7 +175,8 @@ def test_factor_of_a_non_finite_matrix_is_refused():
     """phi = inf puts NaN (inf times 0) on the diagonal; the range finder
     found no direction, the NaN residual passed the delta check, and a
     rank-0 factor came back."""
-    S = se_covariance(np.linspace(0.0, 1.0, 5)[:, None], math.inf)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        S = se_covariance(np.linspace(0.0, 1.0, 5)[:, None], math.inf)
     with pytest.raises(ValueError, match="Sigma must be finite"):
         randomized_partial_eig(SeededRng(0), S, 0.1)
 
@@ -186,7 +187,7 @@ def test_accuracy_metrics_perfect_factor():
     S = se_covariance(X, 20.0)
     vals, vecs = np.linalg.eigh(S)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    fac = LowRankFactor(vecs[:, :10], vals[:10], 0.0, 3, 0.0)
+    fac = LowRankFactor(vecs[:, :10], vals[:10], 0.0, 0.0)
     R, F, C = eig_accuracy_metrics(vals, vecs, fac, SeededRng(8))
     assert R == pytest.approx(0.0, abs=1e-12)
     assert F == pytest.approx(0.0, abs=1e-10)
@@ -203,7 +204,7 @@ def test_loglik_identity_full_rank():
     X, _, y = simulate_gp(rng, 60, 1, 15.0, 0.2, 1.3, "grid")
     S = se_covariance(X, 15.0)
     vals, vecs = np.linalg.eigh(S)
-    fac = LowRankFactor(vecs[:, ::-1], np.clip(vals[::-1], 0, None), 0.0, 3, 0.0, True)
+    fac = LowRankFactor(vecs[:, ::-1], np.clip(vals[::-1], 0, None), 0.0, 0.0, True)
     for s2, t2 in ((0.2, 1.3), (1.0, 0.1), (3.0, 2.0)):
         assert marginal_loglik(y, fac, s2, t2) == pytest.approx(
             marginal_loglik_dense(y, S, s2, t2), abs=1e-8
@@ -216,7 +217,7 @@ def test_loglik_identity_low_rank():
     rng = np.random.default_rng(10)
     V = np.linalg.qr(rng.normal(size=(40, 6)))[0]
     lam = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
-    fac = LowRankFactor(V, lam, 0.0, 3, 0.0)
+    fac = LowRankFactor(V, lam, 0.0, 0.0)
     S_eps = (V * lam) @ V.T
     y = rng.normal(size=40)
     assert marginal_loglik(y, fac, 0.3, 1.7) == pytest.approx(
@@ -225,7 +226,7 @@ def test_loglik_identity_low_rank():
 
 
 def test_loglik_validation():
-    fac = LowRankFactor(np.eye(3)[:, :1], np.array([1.0]), 0.0, 3, 0.0)
+    fac = LowRankFactor(np.eye(3)[:, :1], np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError):
         marginal_loglik(np.zeros(3), fac, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -241,7 +242,7 @@ def test_predictive_mean_matches_dense_solve():
     rng = np.random.default_rng(11)
     V = np.linalg.qr(rng.normal(size=(30, 5)))[0]
     lam = np.array([4.0, 2.0, 1.0, 0.5, 0.2])
-    fac = LowRankFactor(V, lam, 0.0, 3, 0.0)
+    fac = LowRankFactor(V, lam, 0.0, 0.0)
     y = rng.normal(size=30)
     state = GPState(0.4, 1.2, 0)
     S_eps = (V * lam) @ V.T
@@ -253,7 +254,7 @@ def test_predictive_draw_moments():
     rng = np.random.default_rng(12)
     V = np.linalg.qr(rng.normal(size=(10, 2)))[0]
     lam = np.array([2.0, 1.0])
-    fac = LowRankFactor(V, lam, 0.0, 3, 0.0)
+    fac = LowRankFactor(V, lam, 0.0, 0.0)
     y = rng.normal(size=10)
     state = GPState(0.5, 1.0, 0)
     draws_rng, proj = SeededRng(13), _project(y, fac)
@@ -313,8 +314,7 @@ def test_sampler_run_rejects_empty_or_negative_budgets():
 
 
 def _old_run(sampler, rng, steps, burn_in):
-    """``GPSampler.run`` with ``collect_predictive=True`` as it was before
-    the projections of y were cached: every likelihood and predictive draw
+    """``GPSampler.run`` as it was before the projections of y were cached: every likelihood and predictive draw
     projects y itself."""
     model, factors, y = sampler.model, sampler.factors, sampler.model.y
 
@@ -329,8 +329,8 @@ def _old_run(sampler, rng, steps, burn_in):
     def log_post(factor, x, z):
         return (
             loglik(factor, math.exp(x), math.exp(z))
-            + (-model.a_sigma * x - model.b_sigma * math.exp(-x))
-            + (-model.a_tau * z - model.b_tau * math.exp(-z))
+            + (-_PRIOR_A * x - _PRIOR_B * math.exp(-x))
+            + (-_PRIOR_A * z - _PRIOR_B * math.exp(-z))
         )
 
     def f_draw(state, factor):
@@ -382,7 +382,7 @@ def _old_run(sampler, rng, steps, burn_in):
 def test_cached_projections_match_the_per_call_loop_bit_for_bit():
     s = _toy_sampler(21, delta=1e-4)
     rng_new, rng_old = SeededRng(22), SeededRng(22)
-    new = s.run(rng_new, steps=60, burn_in=30, collect_predictive=True)
+    new = s.run(rng_new, steps=60, burn_in=30)
     old = _old_run(s, rng_old, steps=60, burn_in=30)
     assert new["trace"].tobytes() == old["trace"].tobytes()
     assert len(set(new["trace"][:, 2])) > 1  # the chain visits several factors
@@ -403,7 +403,7 @@ def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_bloc
     monkeypatch.setattr(gp_lowrank, "_ROW_BLOCK", row_block)
     s = _toy_sampler(24, delta=1e-4, n=40)
     steps, burn_in = 50, 20
-    run = s.run(SeededRng(25), steps=steps, burn_in=burn_in, collect_predictive=True)
+    run = s.run(SeededRng(25), steps=steps, burn_in=burn_in)
     assert len(set(run["trace"][:, 2])) > 1
 
     # replay the chain's generator: each kept sweep draws its normals last
@@ -521,7 +521,7 @@ def test_prediction_rmse_curve_converges_to_operator_bias():
     rng = np.random.default_rng(18)
     V = np.linalg.qr(rng.normal(size=(20, 3)))[0]
     lam = np.array([3.0, 1.0, 0.4])
-    fac = LowRankFactor(V, lam, 0.0, 3, 0.0)
+    fac = LowRankFactor(V, lam, 0.0, 0.0)
     y = rng.normal(size=20)
     state = GPState(0.5, 1.0, 0)
     exact = predictive_mean(state, fac, y, _project(y, fac))  # truth = own mean -> bias 0

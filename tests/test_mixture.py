@@ -1,6 +1,7 @@
 """Latent-class contingency-table samplers and the rounded-Gaussian
 multinomial surrogate."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -90,12 +91,19 @@ def test_prefix_equals_the_table_built_from_a_dict():
 
 
 def test_cell_probabilities_sum_to_one():
-    rng = SeededRng(0)
-    _, nu, lam, _ = simulate_contingency(rng, p=2, d=3, K=2, N=10)
-    total = sum(
-        cell_probability(nu, lam, (i, j)) for i in range(3) for j in range(3)
-    )
-    assert total == pytest.approx(1.0, abs=1e-12)
+    """Over every cell of the grid pi sums to 1, and each entry is the
+    per-cell product nu lambda^(0)_{., c_0} ... lambda^(p-1)_{., c_p-1}
+    summed over the classes, bit for bit."""
+    for p, d, K in ((2, 3, 2), (3, 4, 30)):
+        _, nu, lam, _ = simulate_contingency(SeededRng(0), p=p, d=d, K=K, N=10)
+        index = np.array(list(itertools.product(range(d), repeat=p)))
+        got = cell_probability(nu, lam, index)
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+        for cell, value in zip(index.tolist(), got.tolist()):
+            w = nu.copy()
+            for j, c in enumerate(cell):
+                w = w * lam[j, :, c]
+            assert value == float(w.sum())
 
 
 def test_latent_class_probs_bayes_rule():
@@ -305,7 +313,7 @@ def test_gibbs_chains_recover_frequent_cell_probabilities():
     for i in range(150):
         state = gibbs_step_exact(rng, state, data, priors)
         if i >= 50:
-            est.append(cell_probability(state.nu, state.lam, top))
+            est.append(cell_probability(state.nu, state.lam, np.array([top]))[0])
     assert np.mean(est) == pytest.approx(data.cells[top] / data.total, rel=0.25)
 
 

@@ -9,7 +9,6 @@ from scipy import integrate, stats
 from amcmc.distributions import SeededRng, sample_polya_gamma
 from amcmc.pg_logistic import (
     _audit_tv,
-    _prior_terms,
     ChainResult,
     LogisticData,
     PGState,
@@ -25,7 +24,8 @@ from amcmc.pg_logistic import (
 
 
 def _prior(p, var=100.0):
-    return np.zeros(p), var * np.eye(p)
+    """Prior covariance B of beta ~ N(0, B)."""
+    return var * np.eye(p)
 
 
 # ---------------------------------------------------------------------------
@@ -105,28 +105,26 @@ def test_pinsker_clamps():
 
 
 def test_subset_full_size_is_bitwise_exact():
-    """|V| = N with a flat prior mean consumes the same randomness as the
-    exact sweep and must reproduce it draw for draw."""
+    """|V| = N consumes the same randomness as the exact sweep and must
+    reproduce it draw for draw."""
     data, _ = simulate_logistic(SeededRng(2), 120, 3)
-    b, B = _prior(3)
-    prior = _prior_terms(b, B)
+    B_inv = np.linalg.inv(_prior(3))
     policy = SubsetPolicy(size=data.N)
     s_e = PGState(np.zeros(3), np.full(data.N, 0.25), np.arange(data.N))
     s_s = PGState(np.zeros(3), np.full(data.N, 0.25), np.arange(data.N))
     for i in range(25):
-        s_e = gibbs_step_exact(SeededRng(3, i), s_e, data, prior)
-        s_s = gibbs_step_subset(SeededRng(3, i), s_s, data, prior, policy)
+        s_e = gibbs_step_exact(SeededRng(3, i), s_e, data, B_inv)
+        s_s = gibbs_step_subset(SeededRng(3, i), s_s, data, B_inv, policy)
         assert np.array_equal(s_e.beta, s_s.beta)
         assert np.array_equal(s_e.omega, s_s.omega)
 
 
 def test_subset_size_below_p_plus_one_rejected():
     data, _ = simulate_logistic(SeededRng(4), 50, 4)
-    b, B = _prior(4)
     policy = SubsetPolicy(size=3)
     state = PGState(np.zeros(4), np.full(50, 0.25), np.arange(50))
     with pytest.raises(ValueError):
-        gibbs_step_subset(SeededRng(0), state, data, _prior_terms(b, B), policy)
+        gibbs_step_subset(SeededRng(0), state, data, np.linalg.inv(_prior(4)), policy)
 
 
 def test_subset_policy_validation():
@@ -137,8 +135,7 @@ def test_subset_policy_validation():
 def test_exact_chain_recovers_coefficients():
     """Posterior mean should land near the MLE-scale truth on easy data."""
     data, beta_true = simulate_logistic(SeededRng(5), 1500, 3)
-    b, B = _prior(3)
-    res = run_chain(SeededRng(6), data, b, B, steps=300, burn_in=100)
+    res = run_chain(SeededRng(6), data, _prior(3), steps=300, burn_in=100)
     post = res.trace.mean(axis=0)
     # standardized design keeps the coefficients on the same scale
     assert np.corrcoef(post, beta_true)[0, 1] > 0.95
@@ -146,12 +143,11 @@ def test_exact_chain_recovers_coefficients():
 
 def test_run_chain_audit_plumbing():
     data, _ = simulate_logistic(SeededRng(7), 200, 3)
-    b, B = _prior(3)
+    B = _prior(3)
     policy = SubsetPolicy(size=60)
     res = run_chain(
         SeededRng(8),
         data,
-        b,
         B,
         steps=40,
         burn_in=10,
@@ -165,7 +161,7 @@ def test_run_chain_audit_plumbing():
     assert np.all((res.audit_tv >= 0.0) & (res.audit_tv <= 1.0))
     with pytest.raises(ValueError):
         run_chain(
-            SeededRng(8), data, b, B, steps=5, policy=policy, audit_every=2
+            SeededRng(8), data, B, steps=5, policy=policy, audit_every=2
         )
 
 
@@ -173,8 +169,7 @@ def test_audit_tv_matches_dense_covariance_kl():
     """The Cholesky-form audit against KL between the two beta conditionals
     built from explicit covariance inverses and the same audit draw."""
     data, _ = simulate_logistic(SeededRng(15), 300, 4)
-    b, B = _prior(4)
-    B_inv = np.linalg.inv(B)
+    B_inv = np.linalg.inv(_prior(4))
     rows = SeededRng(16).subset(data.N, 250)
     state = PGState(np.array([0.5, -1.0, 0.2, 1.5]), np.full(250, 0.25), rows)
     got = _audit_tv(SeededRng(17), state, data, B_inv)
@@ -191,13 +186,12 @@ def test_audit_tv_matches_dense_covariance_kl():
 
 def test_audit_does_not_perturb_chain():
     data, _ = simulate_logistic(SeededRng(10), 150, 3)
-    b, B = _prior(3)
+    B = _prior(3)
     policy = SubsetPolicy(size=50)
-    r1 = run_chain(SeededRng(11), data, b, B, steps=30, policy=policy)
+    r1 = run_chain(SeededRng(11), data, B, steps=30, policy=policy)
     r2 = run_chain(
         SeededRng(11),
         data,
-        b,
         B,
         steps=30,
         policy=policy,
