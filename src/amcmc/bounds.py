@@ -93,16 +93,15 @@ class BoundInputs:
         _check_t(self.t)
         if not np.all((0.0 <= self.tv0) & (self.tv0 <= 1.0)):
             raise ValueError(f"tv0 must lie in [0, 1], got {self.tv0}")
-        if not np.all(self.fstar >= 0.0):
-            raise ValueError(f"fstar must be >= 0, got {self.fstar}")
+        if not np.all((0.0 <= self.fstar) & (self.fstar < np.inf)):
+            raise ValueError(f"fstar must be finite and >= 0, got {self.fstar}")
 
 
 def _cesaro_tv_term(alpha, t, tv0):
     """(1 - (1 - alpha)**t) * tv0 / (alpha * t), with (1 - alpha)**t as
     exp(t * log1p(-alpha)).
 
-    Shared by the exact and approximate TV bounds so that epsilon = 0
-    reduces bit-for-bit.
+    Shared by the TV and L2 bounds.
     """
     t = np.asarray(t, dtype=np.float64)
     return (1.0 - np.exp(t * np.log1p(-alpha))) * tv0 / (alpha * t)
@@ -175,9 +174,9 @@ def variance_factor(t, alpha):
 
 def tv_bound_exact(alpha, inputs: BoundInputs):
     """TV bound between the stationary law and the exact chain's Cesaro
-    average started from a law at TV distance ``tv0``."""
-    _check_alpha(alpha)
-    return _value(_cesaro_tv_term(alpha, inputs.t, inputs.tv0))
+    average started from a law at TV distance ``tv0``: the approximate
+    bound at epsilon = 0."""
+    return tv_bound_approx(ErgodicityParams(alpha), inputs.t, inputs.tv0)
 
 
 def tv_bound_approx(params: ErgodicityParams, t, tv0_eps):
@@ -186,40 +185,37 @@ def tv_bound_approx(params: ErgodicityParams, t, tv0_eps):
     ``tv0_eps`` is the TV distance between the approximate chain's
     stationary law and the initial law.
     """
-    _check_t(t)
-    return _value(
-        params.epsilon / params.alpha + _cesaro_tv_term(params.alpha_eps, t, tv0_eps)
-    )
+    BoundInputs(t, tv0_eps)
+    return _value(stationary_bias_bound(params) + _cesaro_tv_term(params.alpha_eps, t, tv0_eps))
 
 
 def l2_bound_exact(alpha, inputs: BoundInputs):
     """L2 bound on the exact chain's ergodic-average error for a function
-    with oscillation seminorm ``fstar``."""
-    _check_alpha(alpha)
-    f2 = inputs.fstar * inputs.fstar
-    return _value(
-        4.0 * f2 * _cesaro_tv_term(alpha, inputs.t, inputs.tv0)
-        + f2 * _variance_factor(inputs.t, alpha)
-    )
+    with oscillation seminorm ``fstar``: the approximate bound at
+    epsilon = 0."""
+    return l2_bound_approx(ErgodicityParams(alpha), inputs.t, inputs.tv0, inputs.fstar)
 
 
 def l2_bound_approx(params: ErgodicityParams, t, tv0_eps, fstar):
     """L2 bound on the approximate chain's ergodic-average error.
 
-    Four terms: the approximate-chain analogues of the exact bound plus the
-    epsilon cross term and the asymptotic squared bias 4 eps^2 fstar^2 /
-    alpha^2.
+    Four terms: the exact chain's two terms at alpha_eps, plus the epsilon
+    cross term and the asymptotic squared bias 4 eps^2 fstar^2 / alpha^2,
+    which both vanish at epsilon = 0.
     """
-    _check_t(t)
-    alpha, eps, a_eps = params.alpha, params.epsilon, params.alpha_eps
+    BoundInputs(t, tv0_eps, fstar)
+    a_eps = params.alpha_eps
     t = np.asarray(t, dtype=np.float64)
     f2 = fstar * fstar
+    # fstar eps / alpha is exactly 0 at eps = 0, where alpha^2 may underflow
+    # and fstar^2 overflow, so both epsilon terms vanish there
+    fb = fstar * stationary_bias_bound(params)
     growth = 1.0 - np.exp(t * np.log1p(-a_eps))
     return _value(
         4.0 * f2 * _cesaro_tv_term(a_eps, t, tv0_eps)
         + f2 * _variance_factor(t, a_eps)
-        + 8.0 * f2 * eps * growth / (t * alpha * a_eps)
-        + 4.0 * eps * eps * f2 / (alpha * alpha)
+        + 8.0 * fb * fstar * growth / (t * a_eps)
+        + 4.0 * fb * fb
     )
 
 

@@ -254,10 +254,9 @@ def cmd_mixtimes(cfg: dict, out: Path) -> int:
 
 
 def cmd_compminimax(cfg: dict, out: Path) -> int:
-    template = cmx.CompminimaxProblem(
+    problem = cmx.CompminimaxProblem(
         discrepancy=cfg["discrepancy"],
         alpha=cfg["alpha"],
-        tau_max=cfg["tau_min"],
         tv0=cfg["tv0"],
         tv0_eps=cfg["tv0_eps"],
         fstar=cfg["fstar"],
@@ -269,8 +268,7 @@ def cmd_compminimax(cfg: dict, out: Path) -> int:
         raise ValueError(f"forms must be a comma list of {', '.join(cmx.SPEEDUP_FORMS)}, got {cfg['forms']!r}")
     rows = []
     for form in forms:
-        fn = cmx.SpeedupFn(form, cfg["alpha"])
-        rows.extend(cmx.curve_epsilon_vs_budget(template, fn, tau_grid))
+        rows.extend(cmx.curve_epsilon_vs_budget(problem, form, tau_grid))
     write_csv(out / "compminimax.csv", cmx.CURVE_CSV_HEADER, rows)
     return 0
 

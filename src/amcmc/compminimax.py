@@ -15,15 +15,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .bounds import (
-    BoundInputs,
-    ErgodicityParams,
-    l2_bound_approx,
-    l2_bound_exact,
-    tv_bound_approx,
-    tv_bound_exact,
-    _value,
-)
+from .bounds import ErgodicityParams, _value, l2_bound_approx, tv_bound_approx
+
+# Not called here (eps = 0 is the exact bound), but importable from this
+# module: the benchmark's traced calculus round (perfbench/cli_launch.py)
+# wraps all four bounds by their names here.
+from .bounds import l2_bound_exact, tv_bound_exact  # noqa: F401
 
 __all__ = [
     "SpeedupFn",
@@ -66,11 +63,14 @@ def speedup_eval(fn: SpeedupFn, eps):
     """Evaluate s(eps), elementwise for an array.  With u = 2 eps / alpha
     in [0, 1]: linear 1 + 99u, quadratic 1 + 99u^2, logarithmic
     1 + 99 log2(1 + u), exponential 100^u."""
+    eps = np.asarray(eps, dtype=np.float64)
     if not np.all((0.0 <= eps) & (eps <= fn.alpha / 2.0)):
+        low, high = eps.min(), eps.max()
         raise ValueError(
-            f"eps={eps} outside the speedup domain [0, {fn.alpha / 2.0}]"
+            f"eps={low if not low >= 0.0 else high} outside the speedup domain "
+            f"[0, {fn.alpha / 2.0}]"
         )
-    u = 2.0 * np.asarray(eps, dtype=np.float64) / fn.alpha
+    u = 2.0 * eps / fn.alpha
     if fn.form == "linear":
         s = 1.0 + (_S_MAX - 1.0) * u
     elif fn.form == "quadratic":
@@ -84,18 +84,12 @@ def speedup_eval(fn: SpeedupFn, eps):
     return _value(s)
 
 
-def _default_grid(alpha: float, n: int) -> np.ndarray:
-    # keep the top end strictly below alpha/2 so alpha_eps stays positive
-    return np.linspace(0.0, 0.5 * alpha * (1.0 - 1e-9), n)
-
-
 @dataclass(frozen=True)
 class CompminimaxProblem:
-    """Inputs of one budget-constrained bound minimization."""
+    """Inputs of a budget-constrained bound minimization, for any budget."""
 
     discrepancy: str  # "tv" or "l2"
     alpha: float
-    tau_max: float
     tv0: float = 1.0
     tv0_eps: float = 1.0
     fstar: float = 1.0
@@ -104,65 +98,71 @@ class CompminimaxProblem:
     def __post_init__(self) -> None:
         if self.discrepancy not in ("tv", "l2"):
             raise ValueError(f"discrepancy must be 'tv' or 'l2', got {self.discrepancy!r}")
-        if not self.tau_max >= 1:
-            raise ValueError(f"tau_max must be >= 1, got {self.tau_max}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
 
     def bound_at(self, eps, t):
-        """The bound at error ``eps`` and path length ``t`` (broadcasting);
-        eps = 0 takes the exact chain's bound.  Each entry evaluates its own
-        form only."""
-        eps, t = np.broadcast_arrays(np.asarray(eps, dtype=np.float64), np.asarray(t))
-        exact = eps == 0.0
-        inputs = BoundInputs(t=t[exact], tv0=self.tv0, fstar=self.fstar)
-        params = ErgodicityParams(self.alpha, eps[~exact])
-        out = np.empty(eps.shape)
+        """The approximate bound at error ``eps`` and path length ``t``
+        (broadcasting).  At eps = 0 it is the exact chain's bound, started
+        at ``tv0`` rather than ``tv0_eps``."""
+        eps = np.asarray(eps, dtype=np.float64)
+        params = ErgodicityParams(self.alpha, eps)
+        tv0 = np.where(eps == 0.0, self.tv0, self.tv0_eps)
         if self.discrepancy == "tv":
-            out[exact] = tv_bound_exact(self.alpha, inputs)
-            out[~exact] = tv_bound_approx(params, t[~exact], self.tv0_eps)
-        else:
-            out[exact] = l2_bound_exact(self.alpha, inputs)
-            out[~exact] = l2_bound_approx(params, t[~exact], self.tv0_eps, self.fstar)
-        return _value(out)
+            return tv_bound_approx(params, t, tv0)
+        return l2_bound_approx(params, t, tv0, self.fstar)
 
 
 def epsilon_compminimax(
-    problem: CompminimaxProblem, fn: SpeedupFn
+    problem: CompminimaxProblem, form: str, tau_max: float
 ) -> tuple[float, int, float]:
-    """Grid-argmin of the bound over eps.
+    """Grid-argmin of the bound over eps under a budget of ``tau_max``
+    exact-kernel steps, with the speedup ``SpeedupFn(form, problem.alpha)``.
 
     Returns (eps_c, t_opt, bound_at_opt).  Ties break toward the smallest
     eps (the first minimum), so the search is fully deterministic.
     """
-    return curve_epsilon_vs_budget(problem, fn, [problem.tau_max])[0][3:]
+    return curve_epsilon_vs_budget(problem, form, [tau_max])[0][3:]
 
 
 CURVE_CSV_HEADER = ("tau_max", "form", "alpha", "eps_c", "t_opt", "bound_at_opt")
 
+#: Bound entries evaluated at once: the budgets go through the search in
+#: blocks of max(1, _BLOCK_CELLS // grid_size) rows, so memory does not
+#: grow with the number of budgets.
+_BLOCK_CELLS = 1 << 16
+
 
 def curve_epsilon_vs_budget(
-    problem_template: CompminimaxProblem,
-    fn: SpeedupFn,
+    problem: CompminimaxProblem,
+    form: str,
     tau_grid: Iterable[float],
 ) -> list[tuple[float, str, float, float, int, float]]:
-    """One :func:`epsilon_compminimax` row per budget, the template's own
-    ``tau_max`` replaced by each entry of ``tau_grid``; rows follow
-    :data:`CURVE_CSV_HEADER`.  Every budget's argmin comes from one
-    (budgets x eps) array of bounds."""
+    """One :func:`epsilon_compminimax` row per budget of ``tau_grid``; rows
+    follow :data:`CURVE_CSV_HEADER`.  Each block of budgets takes its
+    argmins from one (budgets x eps) array of bounds."""
     taus = list(tau_grid)
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be sorted ascending")
     for tau in taus:
         if not tau >= 1:
             raise ValueError(f"tau_max must be >= 1, got {tau}")
-    grid = _default_grid(problem_template.alpha, problem_template.grid_size)
-    # floor(s(eps) tau), at least 1, for every budget (rows) and eps (columns)
-    t = np.floor(speedup_eval(fn, grid) * np.array(taus, dtype=np.float64)[:, None])
-    t = np.maximum(1, t).astype(np.int64)
-    bound = problem_template.bound_at(grid, t)
-    best = np.argmin(bound, axis=1)
+    # keep the top end strictly below alpha/2 so alpha_eps stays positive
+    grid = np.linspace(0.0, 0.5 * problem.alpha * (1.0 - 1e-9), problem.grid_size)
+    s = speedup_eval(SpeedupFn(form, problem.alpha), grid)
+    tau_rows = np.array(taus, dtype=np.float64)[:, None]
+    eps_c, t_opt, b_opt = np.empty(len(taus)), np.empty(len(taus), np.int64), np.empty(len(taus))
+    step = max(1, _BLOCK_CELLS // grid.size)
+    for lo in range(0, len(taus), step):
+        # floor(s(eps) tau), at least 1, for each budget (rows) and eps (columns)
+        t = np.maximum(1, np.floor(s * tau_rows[lo : lo + step])).astype(np.int64)
+        bound = problem.bound_at(grid, t)
+        best = np.argmin(bound, axis=1)[:, None]
+        eps_c[lo : lo + step] = grid[best[:, 0]]
+        t_opt[lo : lo + step] = np.take_along_axis(t, best, axis=1)[:, 0]
+        b_opt[lo : lo + step] = np.take_along_axis(bound, best, axis=1)[:, 0]
+        del t, bound  # so that one block's arrays are alive at a time
     return [
-        (tau, fn.form, problem_template.alpha, float(grid[i]), int(t[k, i]), float(bound[k, i]))
-        for k, (tau, i) in enumerate(zip(taus, best.tolist()))
+        (tau, form, problem.alpha, e, k, b)
+        for tau, e, k, b in zip(taus, eps_c.tolist(), t_opt.tolist(), b_opt.tolist())
     ]

@@ -505,9 +505,8 @@ def simulate_contingency(
                 m = int(mask.sum())
                 if m:
                     obs[mask, j] = gen.choice(d, size=m, p=lam[j, h])
-        for row in obs:
-            c = tuple(int(v) for v in row)
-            cells[c] = cells.get(c, 0) + 1
+        rows, counts = np.unique(obs, axis=0, return_counts=True)
+        cells = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
     data = ContingencyData(cells, p=p, d=d, K=K)
     true_pi = dict(zip(data.ordered_cells(), cell_probability(nu, lam, data.index).tolist()))

@@ -23,7 +23,6 @@ from amcmc.bounds import (
 from amcmc.cli import run_logistic_experiment
 from amcmc.compminimax import (
     CompminimaxProblem,
-    SpeedupFn,
     curve_epsilon_vs_budget,
     epsilon_compminimax,
 )
@@ -173,32 +172,32 @@ def test_criterion_05_compminimax_shape_suite():
     tau_star = 10.0 * mixing_time_bound(0.1, 0.01)  # ~437.1
 
     # (a) no speedup -> approximating never pays
-    prob = CompminimaxProblem("tv", 0.1, tau_star)
-    eps_c, t_opt, _ = epsilon_compminimax(prob, SpeedupFn("constant", 0.1))
+    prob = CompminimaxProblem("tv", 0.1)
+    eps_c, t_opt, _ = epsilon_compminimax(prob, "constant", tau_star)
     part_a = eps_c == 0.0 and t_opt == int(tau_star)
 
     # (b) non-exponential forms buy accuracy at 10x the mixing time
-    prob_l2 = CompminimaxProblem("l2", 0.1, tau_star)
+    prob_l2 = CompminimaxProblem("l2", 0.1)
     part_b = all(
-        epsilon_compminimax(prob_l2, SpeedupFn(form, 0.1))[0] > 0.0
+        epsilon_compminimax(prob_l2, form, tau_star)[0] > 0.0
         for form in ("linear", "quadratic", "logarithmic")
     )
 
     # (c) at a one-step budget in the slow-mixing regime the optimum is exact
     part_c = True
     for disc in ("tv", "l2"):
-        tiny = CompminimaxProblem(disc, 1e-4, 1.0)
+        tiny = CompminimaxProblem(disc, 1e-4)
         for form in ("linear", "quadratic", "logarithmic", "exponential"):
             part_c = part_c and (
-                epsilon_compminimax(tiny, SpeedupFn(form, 1e-4))[0] == 0.0
+                epsilon_compminimax(tiny, form, 1.0)[0] == 0.0
             )
 
     # (d) the exponential form gives up on approximation at a smaller budget
     taus = np.geomspace(1.0, 1e5, 26)
-    template = CompminimaxProblem("tv", 0.1, 1.0)
+    prob_tv = CompminimaxProblem("tv", 0.1)
 
     def last_positive(form: str) -> float:
-        rows = curve_epsilon_vs_budget(template, SpeedupFn(form, 0.1), taus)
+        rows = curve_epsilon_vs_budget(prob_tv, form, taus)
         positive = [row[0] for row in rows if row[3] > 0.0]
         return max(positive) if positive else 0.0
 

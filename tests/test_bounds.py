@@ -105,6 +105,26 @@ def test_approx_bounds_reduce_bitwise_at_zero_epsilon():
         assert l2_bound_approx(params, t, 0.8, 2.5) == l2_bound_exact(0.37, inputs)
 
 
+def test_exact_bounds_keep_the_exact_chain_forms_bitwise():
+    """The exact bounds are the approximate body at epsilon = 0.  Over
+    arrays of alpha, t, tv0 and fstar they still equal the exact chain's
+    own forms bit for bit: the Cesaro term C for TV, and
+    4 fstar^2 C + fstar^2 S(t, alpha) for L2."""
+    alpha = np.geomspace(1e-9, 0.999, 20)[:, None, None, None]
+    t = np.unique(np.geomspace(1, 1e7, 4000).astype(np.int64))[None, :, None, None]
+    tv0 = np.array([0.0, 0.3, 1.0])[None, None, :, None]
+    fstar = np.array([0.0, 1.0, 3.7, 1e150])[None, None, None, :]
+    inputs = BoundInputs(t=t, tv0=tv0, fstar=fstar)
+    cesaro = (1.0 - np.exp(t * np.log1p(-alpha))) * tv0 / (alpha * t)
+    f2 = fstar * fstar
+    tv, l2 = tv_bound_exact(alpha, inputs), l2_bound_exact(alpha, inputs)
+    assert np.array_equal(tv, cesaro)
+    assert np.array_equal(l2, 4.0 * f2 * cesaro + f2 * variance_factor(t, alpha))
+    params = ErgodicityParams(alpha, 0.0)
+    assert np.array_equal(tv_bound_approx(params, t, tv0), tv)
+    assert np.array_equal(l2_bound_approx(params, t, tv0, fstar), l2)
+
+
 @given(
     alpha=st.floats(0.01, 0.99),
     eps_frac=st.floats(0.0, 0.999),
@@ -215,6 +235,21 @@ def test_variance_factor_tiny_alpha_stays_finite():
         assert variance_factor(np.array([1, 2, 10, 10**7]), alpha).tolist() == [1.0] * 4
 
 
+def test_exact_l2_bound_keeps_its_form_where_alpha_or_fstar_is_extreme():
+    """The epsilon terms are exactly 0 at epsilon = 0 even where alpha^2
+    underflows or fstar^2 overflows, so the exact L2 bound stays
+    4 fstar^2 C + fstar^2 S(t, alpha) there."""
+    t = np.array([1, 2, 10, 10**7])
+    for alpha, fstar in ((1e-200, 1.0), (1e-200, 2.5), (5e-323, 1.0), (5e-323, 2.5), (0.1, 1e160)):
+        inputs = BoundInputs(t=t, tv0=0.3, fstar=fstar)
+        f2 = fstar * fstar
+        want = 4.0 * f2 * tv_bound_exact(alpha, inputs) + f2 * variance_factor(t, alpha)
+        assert np.array_equal(l2_bound_exact(alpha, inputs), want), (alpha, fstar)
+    assert l2_bound_exact(0.1, BoundInputs(t=10, fstar=1e160)) == math.inf
+    with pytest.raises(ValueError, match="fstar"):
+        BoundInputs(t=10, fstar=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # scalar and array calls
 # ---------------------------------------------------------------------------
@@ -265,3 +300,16 @@ def test_array_validation_rejects_any_bad_entry():
         BoundInputs(t=1, tv0=np.array([0.5, float("nan")]))
     with pytest.raises(ValueError):
         variance_factor(np.array([3, 2]), np.array([0.5, 0.0]))
+
+
+def test_approx_bounds_validate_their_inputs():
+    """The approximate bounds refuse what BoundInputs refuses."""
+    params = ErgodicityParams(0.1, 0.01)
+    with pytest.raises(ValueError, match="tv0"):
+        tv_bound_approx(params, 10, 5.0)
+    with pytest.raises(ValueError, match="fstar"):
+        l2_bound_approx(params, 10, 0.5, -1.0)
+    with pytest.raises(ValueError, match="tv0"):
+        l2_bound_approx(params, 10, np.array([0.5, -0.1]), 1.0)
+    with pytest.raises(ValueError, match="path length"):
+        tv_bound_approx(params, np.array([3, 0]), 0.5)

@@ -1,14 +1,23 @@
 """Budget-constrained minimization of the error bounds over epsilon."""
 
 import math
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amcmc.bounds import BoundInputs, tv_bound_exact
+import amcmc.bounds as bounds
+import amcmc.compminimax as cmx
+from amcmc.bounds import (
+    BoundInputs,
+    ErgodicityParams,
+    l2_bound_approx,
+    tv_bound_approx,
+    tv_bound_exact,
+    variance_factor,
+)
 from amcmc.compminimax import (
     CURVE_CSV_HEADER,
     CompminimaxProblem,
@@ -68,29 +77,39 @@ def test_speedup_validation():
         speedup_eval(SpeedupFn("linear", 0.2), -1e-9)
 
 
+def test_speedup_domain_error_names_the_offending_extreme():
+    fn = SpeedupFn("linear", 0.2)
+    with pytest.raises(ValueError) as info:
+        speedup_eval(fn, np.linspace(0.0, 0.3, 2000))
+    assert str(info.value) == "eps=0.3 outside the speedup domain [0, 0.1]"
+    with pytest.raises(ValueError) as info:
+        speedup_eval(fn, np.linspace(-1e-9, 0.05, 2000))
+    assert str(info.value) == "eps=-1e-09 outside the speedup domain [0, 0.1]"
+
+
 # ---------------------------------------------------------------------------
 # the minimization itself
 # ---------------------------------------------------------------------------
 
 
 def test_bound_at_zero_epsilon_is_exact_bound():
-    p = CompminimaxProblem("tv", 0.25, 10.0, tv0=0.4, tv0_eps=0.4)
+    p = CompminimaxProblem("tv", 0.25, tv0=0.4, tv0_eps=0.4)
     assert p.bound_at(0.0, 7) == tv_bound_exact(0.25, BoundInputs(t=7, tv0=0.4))
 
 
 def test_constant_speedup_never_pays():
     """With no speedup there is no reason to accept any bias."""
     for disc in ("tv", "l2"):
-        p = CompminimaxProblem(disc, 0.1, 437.0)
-        eps_c, t_opt, _ = epsilon_compminimax(p, SpeedupFn("constant", 0.1))
+        p = CompminimaxProblem(disc, 0.1)
+        eps_c, t_opt, _ = epsilon_compminimax(p, "constant", 437.0)
         assert eps_c == 0.0
         assert t_opt == 437
 
 
 def test_argmin_beats_grid():
-    p = CompminimaxProblem("tv", 0.1, 437.0, grid_size=400)
+    p = CompminimaxProblem("tv", 0.1, grid_size=400)
     fn = SpeedupFn("linear", 0.1)
-    eps_c, t_opt, best = epsilon_compminimax(p, fn)
+    eps_c, t_opt, best = epsilon_compminimax(p, "linear", 437.0)
     # independent re-scan of the same grid
     grid = np.linspace(0.0, 0.05 * (1.0 - 1e-9), 400)
     for eps in grid:
@@ -102,17 +121,17 @@ def test_argmin_beats_grid():
 @given(tau=st.floats(1.0, 1e4), alpha=st.floats(0.02, 0.9))
 @settings(max_examples=30, deadline=None)
 def test_minimum_never_above_exact_baseline(tau, alpha):
-    p = CompminimaxProblem("l2", alpha, tau, grid_size=200)
+    p = CompminimaxProblem("l2", alpha, grid_size=200)
     for form in ("linear", "exponential"):
-        _, _, best = epsilon_compminimax(p, SpeedupFn(form, alpha))
+        _, _, best = epsilon_compminimax(p, form, tau)
         baseline = p.bound_at(0.0, max(1, math.floor(tau)))
         assert best <= baseline + 1e-12
 
 
 def test_curve_rows_and_header():
-    p = CompminimaxProblem("tv", 0.1, 1.0, grid_size=100)
+    p = CompminimaxProblem("tv", 0.1, grid_size=100)
     taus = [1.0, 10.0, 100.0]
-    rows = curve_epsilon_vs_budget(p, SpeedupFn("linear", 0.1), taus)
+    rows = curve_epsilon_vs_budget(p, "linear", taus)
     assert len(rows) == 3
     assert len(CURVE_CSV_HEADER) == len(rows[0])
     assert [r[0] for r in rows] == taus
@@ -120,28 +139,35 @@ def test_curve_rows_and_header():
 
 
 def test_curve_requires_sorted_budgets():
-    p = CompminimaxProblem("tv", 0.1, 1.0, grid_size=50)
+    p = CompminimaxProblem("tv", 0.1, grid_size=50)
     with pytest.raises(ValueError):
-        curve_epsilon_vs_budget(p, SpeedupFn("linear", 0.1), [10.0, 1.0])
+        curve_epsilon_vs_budget(p, "linear", [10.0, 1.0])
     # equal neighbours are fine
-    curve_epsilon_vs_budget(p, SpeedupFn("linear", 0.1), [1.0, 1.0, 2.0])
+    curve_epsilon_vs_budget(p, "linear", [1.0, 1.0, 2.0])
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        CompminimaxProblem("kl", 0.1, 10.0)
+        CompminimaxProblem("kl", 0.1)
     with pytest.raises(ValueError):
-        CompminimaxProblem("tv", 0.1, 0.5)
+        epsilon_compminimax(CompminimaxProblem("tv", 0.1), "linear", 0.5)
     with pytest.raises(ValueError):
-        CompminimaxProblem("tv", 0.1, 10.0, grid_size=1)
+        CompminimaxProblem("tv", 0.1, grid_size=1)
+
+
+def test_search_takes_the_speedup_alpha_from_the_problem():
+    """s(eps) is built on the problem's own alpha: at alpha = 0.1 a budget
+    of 1000 buys a positive eps."""
+    eps_c, t_opt, _ = epsilon_compminimax(CompminimaxProblem("tv", 0.1), "linear", 1000.0)
+    assert t_opt == 1396 and eps_c == pytest.approx(2.0e-4, rel=1e-3)
 
 
 def test_tie_break_toward_smallest_epsilon():
     """A flat objective (constant speedup, huge t so the bound saturates)
     must return the first grid point."""
-    p = CompminimaxProblem("tv", 0.5, 1e9, tv0=0.0, tv0_eps=0.0, grid_size=50)
+    p = CompminimaxProblem("tv", 0.5, tv0=0.0, tv0_eps=0.0, grid_size=50)
     # tv0 = 0 makes the exact bound 0 at eps = 0 and eps/alpha > 0 otherwise
-    eps_c, _, best = epsilon_compminimax(p, SpeedupFn("constant", 0.5))
+    eps_c, _, best = epsilon_compminimax(p, "constant", 1e9)
     assert eps_c == 0.0 and best == 0.0
 
 
@@ -181,7 +207,7 @@ def _scalar_bound(p, eps, t):
     )
 
 
-def _scalar_compminimax(p, fn):
+def _scalar_compminimax(p, fn, tau):
     """The grid search as a loop: first strict improvement wins."""
     best = (0.0, 0, math.inf)
     for eps in np.linspace(0.0, 0.5 * p.alpha * (1.0 - 1e-9), p.grid_size).tolist():
@@ -193,7 +219,7 @@ def _scalar_compminimax(p, fn):
             "exponential": 100.0**u,
             "constant": 1.0,
         }[fn.form]
-        t = max(1, math.floor(s * p.tau_max))
+        t = max(1, math.floor(s * tau))
         b = _scalar_bound(p, eps, t)
         if b < best[2]:
             best = (eps, t, b)
@@ -204,36 +230,120 @@ def _scalar_compminimax(p, fn):
 def test_array_argmin_matches_scalar_loop(disc):
     # budgets up to 1e3 keep the loop's band sums below 10^5 terms
     problems = [
-        CompminimaxProblem(disc, alpha, tau, tv0=0.7, tv0_eps=0.9, fstar=1.3, grid_size=300)
+        (CompminimaxProblem(disc, alpha, tv0=0.7, tv0_eps=0.9, fstar=1.3, grid_size=300), tau)
         for alpha in (0.02, 0.1, 0.37)
         for tau in np.geomspace(1.0, 1e3, 5).tolist()
     ]
     # ties: fstar = 0 makes every l2 bound 0, and the first grid point wins
-    problems.append(CompminimaxProblem(disc, 0.5, 1e3, tv0=0.0, tv0_eps=0.0, fstar=0.0, grid_size=50))
-    for p in problems:
+    problems.append((CompminimaxProblem(disc, 0.5, tv0=0.0, tv0_eps=0.0, fstar=0.0, grid_size=50), 1e3))
+    for p, tau in problems:
         for form in FORMS + ("constant",):
             fn = SpeedupFn(form, p.alpha)
-            eps_c, t_opt, bound = epsilon_compminimax(p, fn)
-            ref_eps, ref_t, ref_bound = _scalar_compminimax(p, fn)
+            eps_c, t_opt, bound = epsilon_compminimax(p, form, tau)
+            ref_eps, ref_t, ref_bound = _scalar_compminimax(p, fn, tau)
             assert (eps_c, t_opt) == (ref_eps, ref_t), (p, form)
             assert bound == pytest.approx(ref_bound, rel=1e-15, abs=0.0), (p, form)
     # the curve: every budget of one alpha in one call, row by row against
     # the loop at that budget
-    for alpha, p in {q.alpha: q for q in problems}.items():
-        taus = [q.tau_max for q in problems if q.alpha == alpha]
+    for alpha, p in {q.alpha: q for q, _ in problems}.items():
+        taus = [tau for q, tau in problems if q.alpha == alpha]
         for form in FORMS + ("constant",):
             fn = SpeedupFn(form, p.alpha)
-            for tau, row in zip(taus, curve_epsilon_vs_budget(p, fn, taus), strict=True):
-                ref_eps, ref_t, ref_bound = _scalar_compminimax(replace(p, tau_max=tau), fn)
+            for tau, row in zip(taus, curve_epsilon_vs_budget(p, form, taus), strict=True):
+                ref_eps, ref_t, ref_bound = _scalar_compminimax(p, fn, tau)
                 assert row[:5] == (tau, form, p.alpha, ref_eps, ref_t), (p, tau, form)
                 assert row[5] == pytest.approx(ref_bound, rel=1e-15, abs=0.0), (p, tau, form)
 
 
 def test_speedup_and_bound_broadcast():
-    p = CompminimaxProblem("l2", 0.2, 50.0, tv0=0.4, tv0_eps=0.6)
+    p = CompminimaxProblem("l2", 0.2, tv0=0.4, tv0_eps=0.6)
     eps = np.linspace(0.0, 0.0999, 7)
     t = np.arange(1, 8) * 13
     for form in FORMS:
         fn = SpeedupFn(form, 0.2)
         assert speedup_eval(fn, eps).tolist() == [speedup_eval(fn, float(e)) for e in eps]
     assert p.bound_at(eps, t).tolist() == [p.bound_at(float(e), int(k)) for e, k in zip(eps, t)]
+
+
+# ---------------------------------------------------------------------------
+# one bound call per block of budgets
+# ---------------------------------------------------------------------------
+
+
+def _two_mask_bound_at(p, eps, t):
+    """bound_at before the exact bounds became the approximate ones at
+    eps = 0: the exact chain's own forms from tv0 where eps = 0, the
+    approximate bound from tv0_eps elsewhere, stitched together."""
+    eps, t = np.broadcast_arrays(eps, t)
+    exact = eps == 0.0
+    te = t[exact].astype(np.float64)
+    cesaro = (1.0 - np.exp(te * np.log1p(-p.alpha))) * p.tv0 / (p.alpha * te)
+    params = ErgodicityParams(p.alpha, eps[~exact])
+    out = np.empty(eps.shape)
+    if p.discrepancy == "tv":
+        out[exact] = cesaro
+        out[~exact] = tv_bound_approx(params, t[~exact], p.tv0_eps)
+    else:
+        f2 = p.fstar * p.fstar
+        out[exact] = 4.0 * f2 * cesaro + f2 * variance_factor(te, p.alpha)
+        out[~exact] = l2_bound_approx(params, t[~exact], p.tv0_eps, p.fstar)
+    return out
+
+
+@pytest.mark.parametrize("disc", ["tv", "l2"])
+def test_bound_at_equals_the_two_mask_split_on_the_cli_grid(disc):
+    """The CLI's default grid (2000 eps, path lengths for 30 budgets), for
+    budgets up to 1e5 (the default) and 1e15 (the largest allowed)."""
+    for alpha in (1e-150, 1e-9, 0.02, 0.1, 0.999):
+        grid = np.linspace(0.0, 0.5 * alpha * (1.0 - 1e-9), 2000)
+        for tv0, tv0_eps, fstar in ((1.0, 1.0, 1.0), (0.3, 0.7, 2.5), (0.0, 0.0, 0.0), (0.4, 0.9, 1e150)):
+            p = CompminimaxProblem(disc, alpha, tv0=tv0, tv0_eps=tv0_eps, fstar=fstar)
+            for form in FORMS + ("constant",):
+                s = speedup_eval(SpeedupFn(form, alpha), grid)
+                for tau_max in (1e5, 1e15):
+                    taus = np.geomspace(1.0, tau_max, 30)[:, None]
+                    t = np.maximum(1, np.floor(s * taus)).astype(np.int64)
+                    got, want = p.bound_at(grid, t), _two_mask_bound_at(p, grid, t)
+                    assert np.array_equal(got, want), (alpha, tv0, tv0_eps, fstar, form, tau_max)
+
+
+@pytest.mark.parametrize("disc", ["tv", "l2"])
+def test_curve_memory_does_not_grow_with_the_budget_count(disc):
+    """3000 budgets (each of 30 repeated 100 times) run in blocks: the
+    traced peak stays within 1.5x that of the 30 budgets alone, and the
+    rows are the 30 rows, each repeated."""
+    p = CompminimaxProblem(disc, 0.1)
+    taus = np.geomspace(1.0, 1e5, 30).tolist()
+
+    def traced(budgets):
+        tracemalloc.start()
+        try:
+            rows = curve_epsilon_vs_budget(p, "linear", budgets)
+            return rows, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, few_peak = traced(taus)
+    many, many_peak = traced(np.repeat(taus, 100).tolist())
+    assert many == [row for row in few for _ in range(100)]
+    assert many_peak <= 1.5 * few_peak, (few_peak, many_peak)
+
+
+def test_compminimax_keeps_the_names_the_traced_benchmark_wraps(monkeypatch):
+    """The traced calculus round (perfbench/cli_launch.py) wraps these five
+    names in amcmc.compminimax and reads ``.discrepancy`` from the first
+    argument of curve_epsilon_vs_budget.  tv_bound_exact and
+    l2_bound_exact are imported there for those wraps alone."""
+    for name in ("tv_bound_exact", "tv_bound_approx", "l2_bound_exact", "l2_bound_approx"):
+        assert getattr(cmx, name) is getattr(bounds, name), name
+    assert callable(cmx.curve_epsilon_vs_budget)
+    # the search looks the approximate bounds up in the module at call
+    # time, so a wrap placed there sees every call
+    for disc, name in (("tv", "tv_bound_approx"), ("l2", "l2_bound_approx")):
+        calls = []
+        original = getattr(cmx, name)
+        monkeypatch.setattr(cmx, name, lambda *a, _f=original: calls.append(1) or _f(*a))
+        p = CompminimaxProblem(disc, 0.1, grid_size=50)
+        assert p.discrepancy == disc
+        cmx.curve_epsilon_vs_budget(p, "linear", [1.0, 10.0])
+        assert calls == [1], disc

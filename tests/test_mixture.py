@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
-from amcmc.distributions import SeededRng
+from amcmc.distributions import SeededRng, sample_dirichlet
 from amcmc.mixture import (
     ContingencyData,
     MixturePriors,
@@ -706,6 +706,29 @@ def test_simulate_contingency_totals():
     assert nu.sum() == pytest.approx(1.0, abs=1e-12)
     assert all(0 < v < 1 for v in true_pi.values())
     assert set(true_pi) == set(data.cells)
+
+
+def test_simulate_contingency_counts_rows_as_the_row_loop():
+    """The table holds what a loop over the observed rows counts, one tuple
+    per row.  The rows are drawn again from a stream at the same seed."""
+    for seed, (p, d, K, N) in enumerate([(3, 6, 3, 10_000), (2, 10, 3, 500), (4, 2, 2, 1)]):
+        data, nu, lam, _ = simulate_contingency(SeededRng(seed), p=p, d=d, K=K, N=N)
+        rng = SeededRng(seed)
+        assert np.array_equal(sample_dirichlet(rng, np.full(K, 1.0)), nu)
+        assert np.array_equal(sample_dirichlet(rng, np.full((p, K, d), 1.0)), lam)
+        z = rng._gen.choice(K, size=N, p=nu)
+        obs = np.empty((N, p), dtype=np.int64)
+        for j in range(p):
+            for h in range(K):
+                mask = z == h
+                if mask.any():
+                    obs[mask, j] = rng._gen.choice(d, size=int(mask.sum()), p=lam[j, h])
+        cells = {}
+        for row in obs:
+            c = tuple(int(v) for v in row)
+            cells[c] = cells.get(c, 0) + 1
+        assert data.cells == cells
+        assert all(type(v) is int for c in data.cells for v in c + (data.cells[c],))
 
 
 def test_simulate_contingency_guards_cell_space():
