@@ -98,13 +98,18 @@ class BoundInputs:
 
 
 def _cesaro_tv_term(alpha, t, tv0):
-    """(1 - (1 - alpha)**t) * tv0 / (alpha * t), with (1 - alpha)**t as
-    exp(t * log1p(-alpha)).
+    """(1 - (1 - alpha)**t) * tv0 / (alpha * t).
 
     Shared by the TV and L2 bounds.
     """
     t = np.asarray(t, dtype=np.float64)
-    return (1.0 - np.exp(t * np.log1p(-alpha))) * tv0 / (alpha * t)
+    return _growth(alpha, t) * tv0 / (alpha * t)
+
+
+def _growth(alpha, t):
+    """1 - (1 - alpha)**t as -expm1(t * log1p(-alpha)), which keeps its
+    relative accuracy where alpha * t is small and 1 - exp(...) cancels."""
+    return -np.expm1(t * np.log1p(-alpha))
 
 
 #: Taylor coefficients 1/k! of e^L - 1 - L, k = 16 down to 2 (Horner order).
@@ -210,11 +215,10 @@ def l2_bound_approx(params: ErgodicityParams, t, tv0_eps, fstar):
     # fstar eps / alpha is exactly 0 at eps = 0, where alpha^2 may underflow
     # and fstar^2 overflow, so both epsilon terms vanish there
     fb = fstar * stationary_bias_bound(params)
-    growth = 1.0 - np.exp(t * np.log1p(-a_eps))
     return _value(
         4.0 * f2 * _cesaro_tv_term(a_eps, t, tv0_eps)
         + f2 * _variance_factor(t, a_eps)
-        + 8.0 * fb * fstar * growth / (t * a_eps)
+        + 8.0 * fb * fstar * _growth(a_eps, t) / (t * a_eps)
         + 4.0 * fb * fb
     )
 

@@ -644,8 +644,9 @@ def main(argv=None) -> int:
 
         write_manifest(out, name, cfg)
         return code
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc), "subcommand": name}), file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; its name is the record's
+        print(json.dumps({"error": str(exc) or type(exc).__name__, "subcommand": name}), file=sys.stderr)
         return 2
 
 

@@ -108,14 +108,15 @@ def test_approx_bounds_reduce_bitwise_at_zero_epsilon():
 def test_exact_bounds_keep_the_exact_chain_forms_bitwise():
     """The exact bounds are the approximate body at epsilon = 0.  Over
     arrays of alpha, t, tv0 and fstar they still equal the exact chain's
-    own forms bit for bit: the Cesaro term C for TV, and
-    4 fstar^2 C + fstar^2 S(t, alpha) for L2."""
+    own forms bit for bit: the Cesaro term C for TV, with 1 - (1 - alpha)^t
+    as -expm1(t log1p(-alpha)), and 4 fstar^2 C + fstar^2 S(t, alpha) for
+    L2."""
     alpha = np.geomspace(1e-9, 0.999, 20)[:, None, None, None]
     t = np.unique(np.geomspace(1, 1e7, 4000).astype(np.int64))[None, :, None, None]
     tv0 = np.array([0.0, 0.3, 1.0])[None, None, :, None]
     fstar = np.array([0.0, 1.0, 3.7, 1e150])[None, None, None, :]
     inputs = BoundInputs(t=t, tv0=tv0, fstar=fstar)
-    cesaro = (1.0 - np.exp(t * np.log1p(-alpha))) * tv0 / (alpha * t)
+    cesaro = -np.expm1(t * np.log1p(-alpha)) * tv0 / (alpha * t)
     f2 = fstar * fstar
     tv, l2 = tv_bound_exact(alpha, inputs), l2_bound_exact(alpha, inputs)
     assert np.array_equal(tv, cesaro)
@@ -123,6 +124,36 @@ def test_exact_bounds_keep_the_exact_chain_forms_bitwise():
     params = ErgodicityParams(alpha, 0.0)
     assert np.array_equal(tv_bound_approx(params, t, tv0), tv)
     assert np.array_equal(l2_bound_approx(params, t, tv0, fstar), l2)
+
+
+def test_bounds_keep_their_relative_accuracy_where_alpha_t_is_small():
+    """1 - (1 - alpha)^t in the Cesaro term and in the L2 epsilon cross
+    term against 50-digit mpmath, at alpha = 1e-20 (where 1 - exp(...) read
+    0, so the TV bound claimed stationarity) and 1e-9 (where it lost 3e-8
+    relative), t <= 10.  The L2 oracle takes S(t, alpha) from
+    variance_factor, which has its own oracles above."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    tv0, fstar = 0.7, 2.5
+
+    def cesaro(a, t):
+        a = mpmath.mpf(a)
+        return (1 - (1 - a) ** t) / (a * t)
+
+    for alpha, eps in ((1e-20, 1e-22), (1e-9, 1e-11)):
+        params = ErgodicityParams(alpha, eps)
+        a_eps = params.alpha_eps
+        fb = mpmath.mpf(fstar) * mpmath.mpf(eps) / mpmath.mpf(alpha)
+        for t in range(1, 11):
+            want_tv = cesaro(alpha, t) * tv0
+            assert tv_bound_exact(alpha, BoundInputs(t=t, tv0=tv0)) == pytest.approx(float(want_tv), rel=1e-14)
+            want_l2 = (
+                4 * fstar**2 * cesaro(a_eps, t) * tv0
+                + fstar**2 * mpmath.mpf(float(variance_factor(t, a_eps)))
+                + 8 * fb * fstar * cesaro(a_eps, t)
+                + 4 * fb * fb
+            )
+            assert l2_bound_approx(params, t, tv0, fstar) == pytest.approx(float(want_l2), rel=1e-14), (alpha, t)
 
 
 @given(

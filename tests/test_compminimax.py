@@ -277,7 +277,7 @@ def _two_mask_bound_at(p, eps, t):
     eps, t = np.broadcast_arrays(eps, t)
     exact = eps == 0.0
     te = t[exact].astype(np.float64)
-    cesaro = (1.0 - np.exp(te * np.log1p(-p.alpha))) * p.tv0 / (p.alpha * te)
+    cesaro = -np.expm1(te * np.log1p(-p.alpha)) * p.tv0 / (p.alpha * te)
     params = ErgodicityParams(p.alpha, eps[~exact])
     out = np.empty(eps.shape)
     if p.discrepancy == "tv":

@@ -287,6 +287,23 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "error" in err and err["subcommand"] == "bounds"
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.45 GiB"), MemoryError()])
+def test_memory_error_gets_the_json_record(tmp_path, capsys, monkeypatch, exc):
+    """A handler that runs out of memory (say on a huge --grid-size) exits 2
+    with the JSON record, not a traceback; the handler only raises, so no
+    memory is asked for."""
+    import amcmc.cli
+
+    def out_of_memory(cfg, out):
+        raise exc
+
+    monkeypatch.setattr(amcmc.cli, "cmd_compminimax", out_of_memory)
+    assert main(["compminimax", "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": str(exc) or "MemoryError", "subcommand": "compminimax"}
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [

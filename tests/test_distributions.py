@@ -16,6 +16,9 @@ from scipy import stats
 from amcmc.distributions import (
     _PG_STEP,
     _PG_T,
+    _pg_accept,
+    _pg_bracket,
+    _pg_left_proposal,
     _pg_p_right,
     _pg_right,
     _pg_table,
@@ -241,6 +244,83 @@ def test_pg_mean_decreasing_in_tilt():
 
 
 
+def _truncated_ig_cdf(x: np.ndarray, z: float) -> np.ndarray:
+    """P(X <= x | X <= t) for X ~ IG(1/z, 1), the Levy law at z = 0:
+    F(x) = Phi(sqrt(1/x)(xz - 1)) + e^{2z} Phi(-sqrt(1/x)(xz + 1)) over F(t),
+    the second term through log Phi so that e^{2z} cannot overflow."""
+    from scipy.special import log_ndtr
+
+    def cdf(v):
+        r = np.sqrt(1.0 / v)
+        return np.exp(log_ndtr(r * (v * z - 1.0))) + np.exp(2.0 * z + log_ndtr(-r * (v * z + 1.0)))
+
+    return cdf(x) / cdf(_PG_T)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, 1.5, 1.0 / _PG_T, 1.7, 8.0, 1e3])
+def test_pg_left_piece_is_the_truncated_inverse_gaussian(z):
+    """One-sample KS of the left envelope piece against its CDF, on both
+    proposal regimes (z < 1/t: the Levy law thinned; z >= 1/t: the inverse
+    Gaussian kept below t) and at their boundary z = 1/t."""
+    x = _pg_left_proposal(SeededRng(21)._gen, np.full(20_000, z))
+    assert np.all((0.0 < x) & (x <= _PG_T))
+    assert stats.kstest(x, lambda v: _truncated_ig_cdf(v, z)).pvalue > 1e-3
+
+
+def _series_coef(n: int, x: np.ndarray) -> np.ndarray:
+    """Coefficient a_n(x) of the alternating series for the density of
+    J*(1, 0) as Devroye writes it: the small-x form on (0, t], the large-x
+    form above t."""
+    k = math.pi * (n + 0.5)
+    small = np.exp(math.log(k) - 1.5 * np.log(0.5 * math.pi * x) - 2.0 * (n + 0.5) ** 2 / x)
+    return np.where(x <= _PG_T, small, k * np.exp(-0.5 * k * k * x))
+
+
+def _full_series_accept(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Devroye's alternating-series test in its coefficient form: u a_0(x)
+    against the partial sums of a_n(x), until every entry is decided."""
+    s = _series_coef(0, x)
+    y = u * s
+    accepted = np.zeros(x.size, dtype=bool)
+    live = np.ones(x.size, dtype=bool)
+    for n in range(1, 40):
+        if n % 2:
+            s = s - _series_coef(n, x)
+            accepted |= live & (y <= s)
+            live &= y > s
+        else:
+            s = s + _series_coef(n, x)
+            live &= y <= s
+    assert not live.any()
+    return accepted
+
+
+def test_pg_ratio_shortcut_decides_like_the_full_series():
+    """The test on ratios a_n / a_0, whose first partial sum decides almost
+    every proposal, reaches the full series' decision on a grid of x either
+    side of t and u up to 1: uniform u, u just below 1, and u placed among
+    the first partial sums (between 1 - a_1/a_0 and 1 - a_1/a_0 + a_2/a_0,
+    where a third term decides, and above that sum).  The only exception
+    allowed is u within 1e-12 of 1 - a_1/a_0, where the two forms round
+    differently."""
+    x = np.concatenate([np.geomspace(0.05, _PG_T, 300), np.nextafter(_PG_T, 1.0) + np.geomspace(1e-12, 2.5, 300)])
+    a0, a1, a2 = (_series_coef(n, x) for n in range(3))
+    first = (1.0 - a1 / a0)[:, None]
+    u = np.concatenate([
+        np.broadcast_to(np.linspace(0.0, 1.0, 2001), (x.size, 2001)),
+        np.broadcast_to(1.0 - np.geomspace(1e-16, 1e-2, 400), (x.size, 400)),
+        np.minimum(first + np.array([0.25, 0.5, 0.75, 2.0, 10.0]) * (a2 / a0)[:, None], 1.0),
+    ], axis=1)
+    first = np.broadcast_to(first, u.shape).ravel()
+    u, xx = u.ravel(), np.broadcast_to(x[:, None], u.shape).ravel()
+    got, want = _pg_accept(u, xx), _full_series_accept(u, xx)
+    away = np.abs(u - first) > 1e-12
+    assert np.array_equal(got[away], want[away])
+    # the grid reaches the terms past the first, with both outcomes
+    beyond = away & (u > first)
+    assert got[beyond].any() and not got[beyond].all()
+
+
 # ---------------------------------------------------------------------------
 # Polya-Gamma piece choice: the table against the scipy.special form
 # ---------------------------------------------------------------------------
@@ -289,8 +369,9 @@ def test_pg_table_brackets_contain_the_scipy_form():
 
 
 def test_pg_choice_equals_the_scipy_form_on_a_million_decisions():
-    """u < p_right(z) from the table (and the exact scalar where the table
-    cannot decide) equals the scipy form's decision: z from the tilts a
+    """u < p_right(z) from the per-call bracket (the table's cell, or the
+    exact scalar beyond it, and the exact scalar where the bracket cannot
+    decide) equals the scipy form's decision: z from the tilts a
     chain sees, from cell edges and from beyond the table; u uniform, and
     u placed 1e-11 (relative) either side of p_right, inside the table's
     margin but outside the 1.4e-14 the two forms differ by."""
@@ -301,11 +382,11 @@ def test_pg_choice_equals_the_scipy_form_on_a_million_decisions():
         g.integers(0, 12 * _PG_STEP + 1, 50_000) / _PG_STEP,
     ])
     u = g.uniform(size=z.size)
-    assert np.array_equal(_pg_right(u, z), u < _scipy_p_right(z))
+    assert np.array_equal(_pg_right(u, z, *_pg_bracket(z)), u < _scipy_p_right(z))
     near = z[g.choice(z.size, 20_000, replace=False)]
     p = _scipy_p_right(near)
     for u in (p * (1.0 - 1e-11), p * (1.0 + 1e-11)):
-        assert np.array_equal(_pg_right(u, near), u < p)
+        assert np.array_equal(_pg_right(u, near, *_pg_bracket(near)), u < p)
 
 
 def test_pg_p_right_finite_for_huge_tilts():
