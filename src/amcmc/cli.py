@@ -158,8 +158,9 @@ MINIMUMS = {
 #: 1e150, so a row's sum of gamma draws stays finite; prior_var lies in
 #: [1e-150, 1e150], so the prior precision 1/prior_var does too.  (A
 #: prior_a small enough that lambda draws underflow to 0 is refused by the
-#: sampler, which sees it happen.)  d_prob stops at 300, so the failure level
-#: 10^-d_prob stays a normal double and the probe safety factor stays finite.
+#: sampler, which sees it happen.)  d_prob lies in [1, 300], so the failure
+#: level 10^-d_prob stays a normal double below 1 and the probe safety factor
+#: stays finite and positive.
 INTERVALS = {
     "alpha": "[1e-150, 1)",
     "epsilon": "[0, 1]",
@@ -179,7 +180,7 @@ INTERVALS = {
     "sigma2_true": "[1e-150, 1e150]",
     "tau2_true": "[1e-150, 1e150]",
     "delta": "(0, inf)",
-    "d_prob": "[0, 300]",
+    "d_prob": "[1, 300]",
     "first_frac": "(0, 1)",
     "last_frac": "(0, 1)",
 }

@@ -153,8 +153,9 @@ def randomized_partial_eig(
     The basis grows in blocks as large as itself (``_BLOCK``, ``_BLOCK``,
     2 ``_BLOCK``, 4 ``_BLOCK``, ...), so it reaches rank k in O(log k)
     rounds, until the probe-based estimate of ||(I - QQ')Sigma||_F
-    certifies half the delta target at confidence 1 - 10^{-d_prob}
-    (chi-square lower-tail safety factor on ``_N_PROBES`` Gaussian probes);
+    certifies half the delta target at confidence 1 - 10^{-d_prob}, d_prob
+    >= 1 (chi-square lower-tail safety factor on ``_N_PROBES`` Gaussian
+    probes);
     then ``_OVERSAMPLE`` extra columns are added before the Nystrom step.
     A basis that fills R^n captures Sigma itself (with Q square and
     orthogonal, Sigma Q (Q' Sigma Q)^{-1} Q' Sigma = Sigma), so when the
@@ -169,6 +170,10 @@ def randomized_partial_eig(
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    if d_prob < 1:
+        # 10^0 = 1 makes the quantile inf and the safety factor 0, so the
+        # first block would certify any residual
+        raise ValueError(f"d_prob must be >= 1, got {d_prob}")
     if not np.isfinite(Sigma).all():
         raise ValueError("Sigma must be finite")
     n = Sigma.shape[0]
@@ -285,42 +290,47 @@ def eig_accuracy_metrics(
     beta = rng.normal(size=r)
     y = vecs @ beta
     gram = factor.U.T @ factor.U
-    proj = factor.U @ np.linalg.solve(gram, factor.U.T @ y)
-    C = float(np.corrcoef(y, proj)[0, 1])
+    fitted = factor.U @ np.linalg.solve(gram, factor.U.T @ y)
+    C = float(np.corrcoef(y, fitted)[0, 1])
     return R, F, C
 
 
-#: (U'y, y'y - |U'y|^2) of one factor: all the likelihood and the predictive
-#: mean need of y.  Both are fixed for a chain.
-Projection = tuple[np.ndarray, float]
+def _stack(
+    y: np.ndarray, factors: list[LowRankFactor]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All the likelihood needs of y and the factors, as zero-padded
+    (factors x largest rank) arrays: each factor's spectrum ``lam`` and its
+    U'y ``y_u``, and the vector ``resid2`` of y'y - |U'y|^2.  A padded entry
+    (lam = 0, U'y = 0) weighs in :func:`_loglik` as a direction off U does."""
+    lam = np.zeros((len(factors), max(f.r for f in factors)))
+    y_u = np.zeros_like(lam)
+    for k, f in enumerate(factors):
+        lam[k, : f.r] = f.lam
+        y_u[k, : f.r] = f.U.T @ y
+    return lam, y_u, float(y @ y) - np.einsum("ij,ij->i", y_u, y_u)
 
 
-def _project(y: np.ndarray, factor: LowRankFactor) -> Projection:
-    y_u = factor.U.T @ y
-    return y_u, float(y @ y) - float(y_u @ y_u)
+def _loglik(n: int, lam, y_u, resid2, sigma2: float, tau2: float):
+    """Gaussian marginal log-likelihood of an n-vector y under covariance
+    tau^2 U diag(lam) U' + sigma^2 I, by the eigen-identity (Rasmussen &
+    Williams 2006, sec. 2.3), over the trailing axis of ``lam`` and ``y_u``:
+    one value per row of :func:`_stack`'s arrays, or one for a row."""
+    d = tau2 * lam + sigma2
+    logdet = np.log(d).sum(axis=-1) + (n - lam.shape[-1]) * math.log(sigma2)
+    quad = (y_u * y_u / d).sum(axis=-1) + resid2 / sigma2
+    return -0.5 * (n * _LOG_2PI + logdet + quad)
 
 
 def marginal_loglik(
-    y: np.ndarray,
-    factor: LowRankFactor,
-    sigma2: float,
-    tau2: float,
-    proj: Projection | None = None,
+    y: np.ndarray, factor: LowRankFactor, sigma2: float, tau2: float
 ) -> float:
     """Gaussian marginal log-likelihood of y under covariance
-    tau^2 U diag(lam) U' + sigma^2 I, via the eigen-identity: O(nr) to
-    project y, then O(r).  ``proj`` is ``_project(y, factor)``, when the
-    caller has it already."""
+    tau^2 U diag(lam) U' + sigma^2 I: O(nr) to project y, then O(r)."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     if tau2 < 0.0:
         raise ValueError("tau2 must be nonnegative")
-    n = len(y)
-    y_u, resid2 = _project(y, factor) if proj is None else proj
-    d = tau2 * factor.lam + sigma2
-    logdet = float(np.log(d).sum()) + (n - factor.r) * math.log(sigma2)
-    quad = float((y_u * y_u / d).sum()) + resid2 / sigma2
-    return -0.5 * (n * _LOG_2PI + logdet + quad)
+    return float(_loglik(len(y), *_stack(y, [factor]), sigma2, tau2)[0])
 
 
 def marginal_loglik_dense(
@@ -341,11 +351,11 @@ def _log_prior_logscale(x: float) -> float:
     return -_PRIOR_A * x - _PRIOR_B * math.exp(-x)
 
 
-def _log_post(
-    model: GPModel, factor: LowRankFactor, log_s2: float, log_t2: float, proj: Projection
-) -> float:
+def _log_post(n: int, row: tuple, log_s2: float, log_t2: float) -> float:
+    """Log-posterior of (log sigma^2, log tau^2) at one phi, whose ``row``
+    holds that phi's entries of :func:`_stack`'s arrays."""
     return (
-        marginal_loglik(model.y, factor, math.exp(log_s2), math.exp(log_t2), proj)
+        _loglik(n, *row, math.exp(log_s2), math.exp(log_t2))
         + _log_prior_logscale(log_s2)
         + _log_prior_logscale(log_t2)
     )
@@ -355,31 +365,26 @@ def mh_griddy_step(
     rng: SeededRng,
     state: GPState,
     model: GPModel,
-    factors: list[LowRankFactor],
-    projections: list[Projection],
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray],
     prop_scale: float,
 ) -> tuple[GPState, bool]:
     """One joint random-walk MH update of (log sigma^2, log tau^2) followed
     by a griddy-Gibbs draw of phi from its exact discrete conditional.
-    ``projections`` holds ``_project(model.y, f)`` for each factor, formed
-    once for the chain."""
-    factor, proj = factors[state.phi_index], projections[state.phi_index]
+    ``grid`` is ``_stack(model.y, factors)`` of the phi grid's factors,
+    formed once for the chain."""
+    row = tuple(a[state.phi_index] for a in grid)
     x = math.log(state.sigma2)
     z = math.log(state.tau2)
     step = prop_scale * rng.normal(size=2)
     x_new, z_new = x + step[0], z + step[1]
-    log_alpha = _log_post(model, factor, x_new, z_new, proj) - _log_post(
-        model, factor, x, z, proj
-    )
+    log_alpha = _log_post(model.n, row, x_new, z_new) - _log_post(model.n, row, x, z)
     accepted = math.log(rng.uniform()) < log_alpha
     if accepted:
         sigma2, tau2 = math.exp(x_new), math.exp(z_new)
     else:
         sigma2, tau2 = state.sigma2, state.tau2
 
-    logw = np.array(
-        [marginal_loglik(model.y, f, sigma2, tau2, p) for f, p in zip(factors, projections)]
-    )
+    logw = _loglik(model.n, *grid, sigma2, tau2)
     logw -= logw.max()
     w = np.exp(logw)
     phi_index = sample_discrete(rng, w / w.sum())
@@ -397,44 +402,34 @@ def _psi_scales(factor: LowRankFactor, sigma2, tau2) -> tuple[np.ndarray, np.nda
 
 
 def _draw_coefficients(
-    factor: LowRankFactor, proj: Projection, sigma2, tau2, Z: np.ndarray
+    factor: LowRankFactor, y_u: np.ndarray, sigma2, tau2, Z: np.ndarray
 ) -> np.ndarray:
     """Rows c_j = d_j U'y + d_half_j U'z_j, one per row z_j of ``Z``, of the
     draws f_j = U c_j + y / sigma2_j + z_j / sigma_j of f ~ N(Psi y, Psi);
-    ``sigma2`` and ``tau2`` hold one entry per row, or one for all rows."""
+    ``y_u`` is U'y, and ``sigma2`` and ``tau2`` hold one entry per row, or
+    one for all rows."""
     d, d_half = _psi_scales(factor, sigma2, tau2)
-    return d * proj[0] + d_half * (Z @ factor.U)
+    return d * y_u + d_half * (Z @ factor.U)
 
 
-def predictive_mean(
-    state: GPState, factor: LowRankFactor, y: np.ndarray, proj: Projection
-) -> np.ndarray:
-    """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.  ``proj`` is
-    ``_project(y, factor)``."""
+def predictive_mean(state: GPState, factor: LowRankFactor, y: np.ndarray) -> np.ndarray:
+    """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}."""
     d = _psi_scales(factor, [state.sigma2], [state.tau2])[0][0]
-    return factor.U @ (d * proj[0]) + y / state.sigma2
+    return factor.U @ (d * (factor.U.T @ y)) + y / state.sigma2
 
 
 def predictive_f_draw(
-    rng: SeededRng,
-    state: GPState,
-    factor: LowRankFactor,
-    y: np.ndarray,
-    proj: Projection,
+    rng: SeededRng, state: GPState, factor: LowRankFactor, y: np.ndarray
 ) -> np.ndarray:
     """Draw f ~ N(Psi y, Psi) using the eigen-identity for Psi and its
-    symmetric square root.  ``proj`` is ``_project(y, factor)``."""
+    symmetric square root."""
     z = rng.normal(size=len(y))
-    c = _draw_coefficients(factor, proj, [state.sigma2], [state.tau2], z[None])[0]
+    c = _draw_coefficients(factor, factor.U.T @ y, [state.sigma2], [state.tau2], z[None])[0]
     return factor.U @ c + y / state.sigma2 + z / math.sqrt(state.sigma2)
 
 
 def _predictive_sum(
-    factors: list[LowRankFactor],
-    projections: list[Projection],
-    y: np.ndarray,
-    trace: np.ndarray,
-    Z: np.ndarray,
+    factors: list[LowRankFactor], y: np.ndarray, trace: np.ndarray, Z: np.ndarray
 ) -> np.ndarray:
     """Sum of the predictive draws of a chain's kept sweeps: row j of
     ``trace`` is (sigma2, tau2, phi_index) and row j of ``Z`` the normals of
@@ -442,12 +437,13 @@ def _predictive_sum(
     c_j of its sweeps before one product with U."""
     sigma2, tau2, k_of = trace[:, 0], trace[:, 1], trace[:, 2].astype(np.int64)
     total = y * float(np.sum(1.0 / sigma2)) + (1.0 / np.sqrt(sigma2)) @ Z
-    for k, (factor, proj) in enumerate(zip(factors, projections)):
+    for k, factor in enumerate(factors):
         rows = np.flatnonzero(k_of == k)
+        y_u = factor.U.T @ y
         c = np.zeros(factor.r)
         for start in range(0, len(rows), _ROW_BLOCK):
             J = rows[start : start + _ROW_BLOCK]
-            c += _draw_coefficients(factor, proj, sigma2[J], tau2[J], Z[J]).sum(axis=0)
+            c += _draw_coefficients(factor, y_u, sigma2[J], tau2[J], Z[J]).sum(axis=0)
         total += factor.U @ c
     return total
 
@@ -466,7 +462,8 @@ def delta_for_epsilon(
     First branch: eps^2 sigma^4 / (tau^2 sqrt(n (tau^2 lam_max + sigma^2))).
     The second branch has two published variants: "appendix"
     (eps^2 sigma^2 / (n tau^2), conservative, the default) and "remark"
-    (eps^2 sigma^2 / tau^2).
+    (eps^2 sigma^2 / tau^2).  Raises ``ValueError`` when the target
+    underflows to 0.
     """
     if second_branch not in ("appendix", "remark"):
         raise ValueError("second_branch must be 'appendix' or 'remark'")
@@ -478,7 +475,10 @@ def delta_for_epsilon(
     second = epsilon**2 * sigma2 / (n * tau2)
     if second_branch == "remark":
         second = epsilon**2 * sigma2 / tau2
-    return min(first, second)
+    delta = min(first, second)
+    if delta == 0.0:
+        raise ValueError(f"epsilon = {epsilon!r} retargets delta to 0: the target underflows")
+    return delta
 
 
 class GPSampler:
@@ -510,12 +510,10 @@ class GPSampler:
         trace = np.empty((steps, 3))
         # each kept sweep's predictive draw is projected after the loop
         Z = np.empty((steps, self.model.n))
-        # y and the factors are fixed for the chain: project y once per factor
-        projections = [_project(self.model.y, f) for f in self.factors]
+        # y and the factors are fixed for the chain: stack them once
+        grid = _stack(self.model.y, self.factors)
         for i in range(burn_in + steps):
-            state, accepted = mh_griddy_step(
-                rng, state, self.model, self.factors, projections, scale
-            )
+            state, accepted = mh_griddy_step(rng, state, self.model, grid, scale)
             if i < burn_in:
                 # Robbins-Monro on the log proposal scale, burn-in only
                 scale = math.exp(
@@ -533,7 +531,7 @@ class GPSampler:
             "trace": trace,
             "accept_rate": n_accept / steps,
             "prop_scale": scale,
-            "pred_mean": _predictive_sum(self.factors, projections, self.model.y, trace, Z) / steps,
+            "pred_mean": _predictive_sum(self.factors, self.model.y, trace, Z) / steps,
         }
 
 
@@ -549,12 +547,12 @@ def prediction_rmse_curve(
     predictive mean, one entry per draw count 1..n_draws.  The draws come
     _ROW_BLOCK at a time; a block's normals are the variates that one call
     per draw would take."""
-    proj = _project(y, factor)
+    y_u = factor.U.T @ y
     rmse = np.empty(n_draws)
     running = np.zeros(len(y))
     for start in range(0, n_draws, _ROW_BLOCK):
         Z = rng.normal(size=(min(_ROW_BLOCK, n_draws - start), len(y)))
-        F = _draw_coefficients(factor, proj, [state.sigma2], [state.tau2], Z) @ factor.U.T
+        F = _draw_coefficients(factor, y_u, [state.sigma2], [state.tau2], Z) @ factor.U.T
         F += y / state.sigma2 + Z / math.sqrt(state.sigma2)
         F[0] += running
         sums = np.cumsum(F, axis=0)

@@ -347,6 +347,9 @@ def test_cli_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
         # 10^-400 underflowed to 0, the probe safety factor was inf, and the
         # range finder grew the basis to rank n
         (["gp", "--d-prob", "400"], "d_prob"),
+        # 10^0 = 1 made the probe safety factor 0, so the first block
+        # certified any residual
+        (["gp", "--d-prob", "0"], "d_prob"),
     ],
 )
 def test_cli_float_out_of_range_exits_2_with_json(tmp_path, capsys, argv, key):
@@ -386,6 +389,16 @@ def test_cli_degenerate_prior_exits_2_naming_its_setting(tmp_path, capsys, argv,
     assert [str(w.message) for w in caught] == []
     err = json.loads(capsys.readouterr().err.strip())
     assert err["subcommand"] == argv[0] and key in err["error"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_gp_epsilon_whose_delta_underflows_exits_2_naming_epsilon(tmp_path, capsys):
+    """epsilon^2 underflowed to 0, and the sampler answered "delta must be
+    positive" for a delta left at its default."""
+    assert main(["gp", "--epsilon", "1e-300", "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["subcommand"] == "gp"
+    assert err["error"].startswith("epsilon = 1e-300 retargets delta to 0")
     assert not (tmp_path / "manifest.json").exists()
 
 

@@ -26,7 +26,7 @@ from amcmc.gp_lowrank import (
     se_covariance,
     simulate_gp,
 )
-from amcmc.gp_lowrank import _PRIOR_A, _PRIOR_B, _PROP_SCALE, _TARGET_ACCEPT, _project
+from amcmc.gp_lowrank import _PRIOR_A, _PRIOR_B, _PROP_SCALE, _TARGET_ACCEPT, _loglik, _stack
 
 
 def test_se_covariance_basics():
@@ -225,6 +225,25 @@ def test_loglik_identity_low_rank():
     )
 
 
+def test_stacked_loglik_matches_the_dense_likelihood_of_each_factor():
+    """Factors of unequal rank, one truncated on the ``eigh`` branch, padded
+    to the largest rank: every row of the stacked log-likelihood is the
+    dense likelihood of its own factored covariance."""
+    rng = SeededRng(26)
+    X, _, y = simulate_gp(rng, 40, 1, 100.0, 0.2, 1.0, "grid")
+    factors = [
+        randomized_partial_eig(SeededRng(27, k), se_covariance(X, phi), 1e-3)
+        for k, phi in enumerate(np.geomspace(5.0, 1e4, 5))
+    ]
+    assert len({f.r for f in factors}) > 2 and any(f.full_rank and f.r < 40 for f in factors)
+    grid = _stack(y, factors)
+    for s2, t2 in ((0.2, 1.3), (0.01, 4.0), (3.0, 0.5)):
+        got = _loglik(40, *grid, s2, t2)
+        for k, f in enumerate(factors):
+            S_eps = (f.U * f.lam) @ f.U.T
+            assert got[k] == pytest.approx(marginal_loglik_dense(y, S_eps, s2, t2), abs=1e-8)
+
+
 def test_loglik_validation():
     fac = LowRankFactor(np.eye(3)[:, :1], np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -247,7 +266,7 @@ def test_predictive_mean_matches_dense_solve():
     state = GPState(0.4, 1.2, 0)
     S_eps = (V * lam) @ V.T
     want = np.linalg.solve(1.2 * S_eps + 0.4 * np.eye(30), y)
-    assert predictive_mean(state, fac, y, _project(y, fac)) == pytest.approx(want, abs=1e-10)
+    assert predictive_mean(state, fac, y) == pytest.approx(want, abs=1e-10)
 
 
 def test_predictive_draw_moments():
@@ -257,8 +276,8 @@ def test_predictive_draw_moments():
     fac = LowRankFactor(V, lam, 0.0, 0.0)
     y = rng.normal(size=10)
     state = GPState(0.5, 1.0, 0)
-    draws_rng, proj = SeededRng(13), _project(y, fac)
-    draws = np.array([predictive_f_draw(draws_rng, state, fac, y, proj) for _ in range(40000)])
+    draws_rng = SeededRng(13)
+    draws = np.array([predictive_f_draw(draws_rng, state, fac, y) for _ in range(40000)])
     psi = np.linalg.inv(1.0 * (V * lam) @ V.T + 0.5 * np.eye(10))
     assert draws.mean(axis=0) == pytest.approx(psi @ y, abs=0.05)
     assert np.cov(draws.T) == pytest.approx(psi, abs=0.06)
@@ -408,11 +427,11 @@ def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_bloc
 
     # replay the chain's generator: each kept sweep draws its normals last
     rng = SeededRng(25)
-    projections = [_project(s.model.y, f) for f in s.factors]
+    grid = _stack(s.model.y, s.factors)
     state, scale = GPState(1.0, 1.0, len(s.factors) // 2), _PROP_SCALE
     Z, trace = [], []
     for i in range(burn_in + steps):
-        state, accepted = mh_griddy_step(rng, state, s.model, s.factors, projections, scale)
+        state, accepted = mh_griddy_step(rng, state, s.model, grid, scale)
         if i < burn_in:
             scale = math.exp(
                 math.log(scale)
@@ -437,13 +456,11 @@ def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_bloc
     assert np.max(np.abs(run["pred_mean"] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_public_functions_agree_with_and_without_the_projection():
-    s = _toy_sampler(23, delta=1e-4)
-    y, factors = s.model.y, s.factors
-    projections = [_project(y, f) for f in factors]
-    for f, proj in zip(factors, projections):
-        for s2, t2 in ((0.25, 1.0), (0.013, 7.5), (3.0, 0.02)):
-            assert marginal_loglik(y, f, s2, t2, proj) == marginal_loglik(y, f, s2, t2)
+def test_factor_refuses_a_certificate_at_confidence_zero():
+    """d_prob = 0 made the probe safety factor 0, so the first block
+    certified any residual."""
+    with pytest.raises(ValueError, match="d_prob must be >= 1"):
+        randomized_partial_eig(SeededRng(0), np.eye(20), 1e-3, d_prob=0)
 
 
 def test_probe_safety_quantile_equals_scipy_stats_chi2_ppf():
@@ -480,9 +497,9 @@ def test_mh_griddy_step_returns_valid_state():
     s = _toy_sampler(16)
     state = GPState(1.0, 1.0, 2)
     rng = SeededRng(17)
-    projections = [_project(s.model.y, f) for f in s.factors]
+    grid = _stack(s.model.y, s.factors)
     for _ in range(20):
-        state, accepted = mh_griddy_step(rng, state, s.model, s.factors, projections, _PROP_SCALE)
+        state, accepted = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE)
         assert isinstance(accepted, bool) or accepted in (True, False)
         assert 0 <= state.phi_index < len(s.factors)
 
@@ -524,7 +541,7 @@ def test_prediction_rmse_curve_converges_to_operator_bias():
     fac = LowRankFactor(V, lam, 0.0, 0.0)
     y = rng.normal(size=20)
     state = GPState(0.5, 1.0, 0)
-    exact = predictive_mean(state, fac, y, _project(y, fac))  # truth = own mean -> bias 0
+    exact = predictive_mean(state, fac, y)  # truth = own mean -> bias 0
     curve = prediction_rmse_curve(SeededRng(19), state, fac, y, exact, 8000)
     assert curve[-1] < curve[10] / 5.0
     assert curve[-1] < 0.1
