@@ -53,33 +53,44 @@ class SeededRng:
         return np.sort(self._gen.choice(n, size, replace=False, shuffle=False))
 
 
-def sample_dirichlet(rng: SeededRng, concentration) -> np.ndarray:
-    """Dirichlet draw via normalized Gamma variates; an array of
-    concentrations draws one vector along its last axis per leading index,
-    with the variates a loop over the rows in C order would consume."""
-    conc = np.asarray(concentration, dtype=np.float64)
-    if np.any(conc <= 0.0):
+def sample_dirichlet(rng: SeededRng, *concentrations):
+    """Dirichlet draws via normalized Gamma variates: each array of
+    concentrations draws one vector along its last axis per leading index.
+    The variates are those a loop over the arrays in turn, and over each
+    one's rows in C order, would consume; one Gamma call draws them all.
+    One array returns its draw, several a tuple of their draws."""
+    concs = [np.asarray(c, dtype=np.float64) for c in concentrations]
+    flat = np.concatenate([c.ravel() for c in concs])
+    if (flat <= 0.0).any():
         raise ValueError("Dirichlet concentrations must be positive")
     gen = rng._gen
     state = gen.bit_generator.state
-    g = gen.gamma(conc)
-    total = g.sum(axis=-1, keepdims=True)
-    if not (total == 0.0).any():
-        return g / total
-    # all-tiny concentrations can underflow to a zero total; such a row takes
-    # the argmax convention (all mass on one uniformly drawn coordinate).
-    # Replay the rows one at a time so its draw comes where the loop takes it.
-    gen.bit_generator.state = state
-    rows = conc.reshape(-1, conc.shape[-1])
-    out = np.zeros_like(rows)
-    for i, row in enumerate(rows):
-        g = gen.gamma(row)
-        total = g.sum()
-        if total == 0.0:
-            out[i, int(gen.integers(len(row)))] = 1.0
-        else:
-            out[i] = g / total
-    return out.reshape(conc.shape)
+    # standard_gamma is gamma at scale 1 without the multiply by 1: the
+    # same variates, drawn in the same order
+    g = gen.standard_gamma(flat)
+    draws, totals, start = [], [], 0
+    for c in concs:
+        draws.append(g[start:start + c.size].reshape(c.shape))
+        totals.append(draws[-1].sum(axis=-1, keepdims=True))
+        start += c.size
+    if all(total.all() for total in totals):
+        for x, total in zip(draws, totals):
+            x /= total
+    else:
+        # all-tiny concentrations can underflow to a zero total; such a row
+        # takes the argmax convention (all mass on one uniformly drawn
+        # coordinate).  Replay the rows one at a time so its draw comes
+        # where the loop takes it.
+        gen.bit_generator.state = state
+        for x, c in zip(draws, concs):
+            for out, row in zip(x.reshape(-1, c.shape[-1]), c.reshape(-1, c.shape[-1])):
+                out[:] = gen.standard_gamma(row)
+                total = out.sum()
+                if total == 0.0:
+                    out[int(gen.integers(len(row)))] = 1.0
+                else:
+                    out /= total
+    return draws[0] if len(draws) == 1 else tuple(draws)
 
 
 def sample_multinomial(rng: SeededRng, n: int, probs) -> np.ndarray:

@@ -92,6 +92,55 @@ def test_dirichlet_underflow_row_replays_the_row_loop():
         assert np.array_equal(got_rng.uniform(size=3), rng.uniform(size=3))
 
 
+def _dirichlet_by_gamma(gen, conc):
+    """Dirichlet rows drawn with Generator.gamma, one row of ``conc`` at a
+    time in C order; a row whose variates all underflow puts its mass on one
+    coordinate drawn uniformly right after them."""
+    rows = conc.reshape(-1, conc.shape[-1])
+    out = np.zeros_like(rows)
+    fallbacks = 0
+    for i, row in enumerate(rows):
+        g = gen.gamma(row)
+        total = g.sum()
+        if total == 0.0:
+            fallbacks += 1
+            out[i, int(gen.integers(len(row)))] = 1.0
+        else:
+            out[i] = g / total
+    return out.reshape(conc.shape), fallbacks
+
+
+def test_dirichlet_draws_the_variates_of_generator_gamma():
+    """On 200 seeds, one to three arrays of random shapes, with
+    concentrations log-uniform from 1e-300 to 1e150 and some rows all at
+    1e-300: sample_dirichlet returns the rows Generator.gamma draws, array
+    after array, zero-total fallbacks included, and leaves the generator
+    where they leave it."""
+    gen = np.random.default_rng(24)
+    fallbacks = 0
+    for seed in range(200):
+        concs = []
+        for _ in range(int(gen.integers(1, 4))):
+            shape = tuple(int(k) for k in gen.integers(1, 6, size=int(gen.integers(1, 4))))
+            conc = 10.0 ** gen.uniform(-300.0, 150.0, size=shape)
+            rows = conc.reshape(-1, shape[-1])
+            rows[gen.random(len(rows)) < 0.2] = 1e-300
+            concs.append(conc)
+        got_rng, ref_rng = SeededRng(seed), SeededRng(seed)
+        want = []
+        for conc in concs:
+            draw, hits = _dirichlet_by_gamma(ref_rng._gen, conc)
+            want.append(draw)
+            fallbacks += hits
+        got = sample_dirichlet(got_rng, *concs)
+        got = [got] if len(concs) == 1 else list(got)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w), seed
+        assert got_rng.uniform() == ref_rng.uniform(), seed
+    assert fallbacks >= 20
+
+
 def test_dirichlet_rejects_nonpositive():
     with pytest.raises(ValueError):
         sample_dirichlet(SeededRng(0), [1.0, 0.0])

@@ -113,6 +113,10 @@ def test_latent_class_probs_bayes_rule():
     w = latent_class_probs(state, (0,))
     want = np.array([0.3 * 0.9, 0.7 * 0.2])
     assert w == pytest.approx(want / want.sum(), abs=1e-12)
+    # a cell off the table's grid has no probabilities
+    for cell in [(2,), (-1,), (0, 0), ()]:
+        with pytest.raises(ValueError):
+            latent_class_probs(state, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +319,44 @@ def test_gibbs_chains_recover_frequent_cell_probabilities():
         if i >= 50:
             est.append(cell_probability(state.nu, state.lam, np.array([top]))[0])
     assert np.mean(est) == pytest.approx(data.cells[top] / data.total, rel=0.25)
+
+
+def test_allocations_map_the_swept_table_cells_to_their_rows():
+    """A sweep's Z maps each cell of the table it swept, full or a prefix,
+    in sorted order, to its allocation row, as the dict of rows it replaced:
+    the rows of the sweep's allocation draw, replayed at the same seed.  A Z
+    kept from an earlier sweep reads the same after later sweeps."""
+    priors = MixturePriors()
+    data = simulate_contingency(SeededRng(0, 0), p=3, d=5, K=3, N=2000)[0]
+    sub = data.prefix(data.total // 3)
+    beyond = data.ordered_cells()[sub.n_cells]
+    assert beyond not in sub.cells
+    unoccupied = next(c for c in itertools.product(range(data.d), repeat=data.p) if c not in data.cells)
+    state = init_state(SeededRng(2, 1), data, priors)
+    kept = []
+    for i, (table, n_min) in enumerate([(data, math.inf), (sub, 30.0), (data, 30.0), (sub, math.inf), (data, 0.0)]):
+        probs = np.array([latent_class_probs(state, c) for c in table.ordered_cells()])
+        if math.isinf(n_min):
+            state = gibbs_step_exact(SeededRng(3, i), state, table, priors)
+        else:
+            state = gibbs_step_approx(SeededRng(3, i), state, table, priors, n_min)
+        Z = state.Z
+        assert set(Z) == set(table.cells) and list(Z) == table.ordered_cells() and len(Z) == table.n_cells
+        for c, n_c in table.cells.items():
+            assert Z[c].shape == (data.K,) and Z[c].dtype == np.int64
+            assert np.all(Z[c] >= 0) and Z[c].sum() == n_c
+        for c in ((data.d, 0), unoccupied) + ((beyond,) if table is sub else ()):
+            with pytest.raises(KeyError):
+                Z[c]
+            assert c not in Z
+        rows = _allocate(SeededRng(3, i), table.counts, probs, n_min)
+        old = dict(zip(table.ordered_cells(), rows))
+        new = dict(Z)
+        assert list(new) == list(old) and all(np.array_equal(new[c], old[c]) for c in old)
+        assert dict(Z.items()).keys() == old.keys()
+        kept.append((Z, old))
+    for Z, old in kept:
+        assert all(np.array_equal(Z[c], old[c]) for c in old)
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +752,11 @@ def test_simulate_contingency_totals():
 
 def test_simulate_contingency_counts_rows_as_the_row_loop():
     """The table holds what a loop over the observed rows counts, one tuple
-    per row.  The rows are drawn again from a stream at the same seed."""
-    for seed, (p, d, K, N) in enumerate([(3, 6, 3, 10_000), (2, 10, 3, 500), (4, 2, 2, 1)]):
+    per row.  The rows are drawn again from a stream at the same seed.  At
+    p = 64, d = 2 the cell space is 2**64, the most the guard lets through;
+    at p = 40, d = 3 it passes 2**63 with a d that does not divide 2**64."""
+    cases = [(3, 6, 3, 10_000), (2, 10, 3, 500), (4, 2, 2, 1), (64, 2, 2, 300), (40, 3, 2, 300)]
+    for seed, (p, d, K, N) in enumerate(cases):
         data, nu, lam, _ = simulate_contingency(SeededRng(seed), p=p, d=d, K=K, N=N)
         rng = SeededRng(seed)
         assert np.array_equal(sample_dirichlet(rng, np.full(K, 1.0)), nu)
