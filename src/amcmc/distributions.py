@@ -129,11 +129,14 @@ def sample_mvn(rng: SeededRng, mean, covariance) -> np.ndarray:
 
 
 def sample_discrete(rng: SeededRng, probs) -> int:
-    """Inverse-CDF draw of an index from a probability vector."""
+    """Inverse-CDF draw of an index from a vector of weights, normalized by
+    their sum."""
     p = np.asarray(probs, dtype=np.float64)
-    if np.any(p < 0.0) or p.sum() <= 0.0:
-        raise ValueError("probs must be nonnegative with positive mass")
-    cdf = np.cumsum(p / p.sum())
+    total = p.sum()
+    # a NaN fails both tests, and an infinite weight makes the total infinite
+    if not (p.size and p.min() >= 0.0 and 0.0 < total < math.inf):
+        raise ValueError("probs must be finite and nonnegative, with a positive finite sum")
+    cdf = np.cumsum(p / total)
     return min(int(np.searchsorted(cdf, rng.uniform(), side="right")), len(p) - 1)
 
 

@@ -12,6 +12,13 @@ estimate.
 The conditional law of f is implemented exactly as the source model
 specifies it: f | y, theta ~ N(Psi y, Psi) with
 Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.
+
+A sweep evaluates the likelihood over the whole phi grid once, at the
+proposed variances; the MH ratio and the phi weights read that vector and
+the one kept from the last sweep.  The chain's predictive mean averages one
+draw of f per kept sweep.  Given the trace those draws are independent, so
+after the loop their sum on each factor is drawn from its own Gaussian law,
+one normal n-vector per factor that holds a kept sweep.
 """
 
 from __future__ import annotations
@@ -55,8 +62,9 @@ _PROP_SCALE, _TARGET_ACCEPT = 0.2, 0.3
 #: Gamma(a, b) prior of each inverse scale, sigma^{-2} and tau^{-2}.
 _PRIOR_A, _PRIOR_B = 2.0, 1.0
 
-#: Predictive draws per matrix product, which bounds a pass's temporaries
-#: to a few (_ROW_BLOCK x max(n, r)) arrays.
+#: Predictive draws, or kept sweeps of a chain's predictive sum, per array
+#: expression, which bounds a pass's temporaries to a few
+#: (_ROW_BLOCK x max(n, r)) arrays.
 _ROW_BLOCK = 256
 
 
@@ -351,70 +359,67 @@ def _log_prior_logscale(x: float) -> float:
     return -_PRIOR_A * x - _PRIOR_B * math.exp(-x)
 
 
-def _log_post(n: int, row: tuple, log_s2: float, log_t2: float) -> float:
-    """Log-posterior of (log sigma^2, log tau^2) at one phi, whose ``row``
-    holds that phi's entries of :func:`_stack`'s arrays."""
-    return (
-        _loglik(n, *row, math.exp(log_s2), math.exp(log_t2))
-        + _log_prior_logscale(log_s2)
-        + _log_prior_logscale(log_t2)
-    )
-
-
 def mh_griddy_step(
     rng: SeededRng,
     state: GPState,
     model: GPModel,
     grid: tuple[np.ndarray, np.ndarray, np.ndarray],
     prop_scale: float,
-) -> tuple[GPState, bool]:
+    loglik: np.ndarray | None = None,
+) -> tuple[GPState, bool, np.ndarray]:
     """One joint random-walk MH update of (log sigma^2, log tau^2) followed
     by a griddy-Gibbs draw of phi from its exact discrete conditional.
     ``grid`` is ``_stack(model.y, factors)`` of the phi grid's factors,
-    formed once for the chain."""
-    row = tuple(a[state.phi_index] for a in grid)
+    formed once for the chain, and ``loglik`` the likelihood at every phi
+    and ``state``'s variances, as the last step returned it (None
+    evaluates it).  The step evaluates the grid once, at the proposal: the
+    MH ratio reads the current phi's row of both vectors, and the phi
+    weights come from the vector of the variances it keeps.  Returns the
+    new state, whether the proposal was accepted, and that vector."""
+    if loglik is None:
+        loglik = _loglik(model.n, *grid, state.sigma2, state.tau2)
+    k = state.phi_index
     x = math.log(state.sigma2)
     z = math.log(state.tau2)
     step = prop_scale * rng.normal(size=2)
     x_new, z_new = x + step[0], z + step[1]
-    log_alpha = _log_post(model.n, row, x_new, z_new) - _log_post(model.n, row, x, z)
+    sigma2, tau2 = math.exp(x_new), math.exp(z_new)
+    proposed = _loglik(model.n, *grid, sigma2, tau2)
+    log_alpha = (
+        proposed[k] + _log_prior_logscale(x_new) + _log_prior_logscale(z_new)
+    ) - (loglik[k] + _log_prior_logscale(x) + _log_prior_logscale(z))
     accepted = math.log(rng.uniform()) < log_alpha
     if accepted:
-        sigma2, tau2 = math.exp(x_new), math.exp(z_new)
+        loglik = proposed
     else:
         sigma2, tau2 = state.sigma2, state.tau2
 
-    logw = _loglik(model.n, *grid, sigma2, tau2)
-    logw -= logw.max()
-    w = np.exp(logw)
+    w = np.exp(loglik - loglik.max())
     phi_index = sample_discrete(rng, w / w.sum())
-    return GPState(sigma2, tau2, phi_index), accepted
+    return GPState(sigma2, tau2, phi_index), accepted, loglik
 
 
-def _psi_scales(factor: LowRankFactor, sigma2, tau2) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (d, d_half), one per entry of the 1-d arrays ``sigma2`` and
-    ``tau2``: the eigenvalues of Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1} and
-    of its symmetric root along U, less their values 1/sigma^2 and 1/sigma
-    off it."""
-    s2 = np.asarray(sigma2, dtype=np.float64)[:, None]
-    scale = np.asarray(tau2, dtype=np.float64)[:, None] * factor.lam + s2
-    return 1.0 / scale - 1.0 / s2, 1.0 / np.sqrt(scale) - 1.0 / np.sqrt(s2)
+def _psi_scales(factor: LowRankFactor, state: GPState) -> tuple[np.ndarray, np.ndarray]:
+    """(d, d_half): the eigenvalues of Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}
+    and of its symmetric root along U, less their values 1/sigma^2 and
+    1/sigma off it."""
+    scale = state.tau2 * factor.lam + state.sigma2
+    return 1.0 / scale - 1.0 / state.sigma2, 1.0 / np.sqrt(scale) - 1.0 / math.sqrt(state.sigma2)
 
 
 def _draw_coefficients(
-    factor: LowRankFactor, y_u: np.ndarray, sigma2, tau2, Z: np.ndarray
+    factor: LowRankFactor, y_u: np.ndarray, state: GPState, Z: np.ndarray
 ) -> np.ndarray:
-    """Rows c_j = d_j U'y + d_half_j U'z_j, one per row z_j of ``Z``, of the
-    draws f_j = U c_j + y / sigma2_j + z_j / sigma_j of f ~ N(Psi y, Psi);
-    ``y_u`` is U'y, and ``sigma2`` and ``tau2`` hold one entry per row, or
-    one for all rows."""
-    d, d_half = _psi_scales(factor, sigma2, tau2)
+    """Rows c_j = d U'y + d_half U'z_j, one per row z_j of ``Z``, of the
+    draws f_j = U c_j + y / sigma2 + z_j / sigma of f ~ N(Psi y, Psi);
+    ``y_u`` is U'y."""
+    d, d_half = _psi_scales(factor, state)
     return d * y_u + d_half * (Z @ factor.U)
 
 
 def predictive_mean(state: GPState, factor: LowRankFactor, y: np.ndarray) -> np.ndarray:
     """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}."""
-    d = _psi_scales(factor, [state.sigma2], [state.tau2])[0][0]
+    d = _psi_scales(factor, state)[0]
     return factor.U @ (d * (factor.U.T @ y)) + y / state.sigma2
 
 
@@ -424,27 +429,38 @@ def predictive_f_draw(
     """Draw f ~ N(Psi y, Psi) using the eigen-identity for Psi and its
     symmetric square root."""
     z = rng.normal(size=len(y))
-    c = _draw_coefficients(factor, factor.U.T @ y, [state.sigma2], [state.tau2], z[None])[0]
+    c = _draw_coefficients(factor, factor.U.T @ y, state, z[None])[0]
     return factor.U @ c + y / state.sigma2 + z / math.sqrt(state.sigma2)
 
 
 def _predictive_sum(
-    factors: list[LowRankFactor], y: np.ndarray, trace: np.ndarray, Z: np.ndarray
+    rng: SeededRng, factors: list[LowRankFactor], y: np.ndarray, trace: np.ndarray
 ) -> np.ndarray:
-    """Sum of the predictive draws of a chain's kept sweeps: row j of
-    ``trace`` is (sigma2, tau2, phi_index) and row j of ``Z`` the normals of
-    sweep j.  The sum is linear in the c_j, so one pass per factor sums the
-    c_j of its sweeps before one product with U."""
+    """A draw of the sum of one predictive draw per kept sweep, row j of
+    ``trace`` being sweep j's (sigma2, tau2, phi_index).  Given the trace
+    the draws f_j ~ N(Psi_j y, Psi_j) are independent, so the sum of those
+    on factor k is one draw of N(P y, P), P = sum_j Psi_j, whose
+    eigenvalues are E = sum_j 1 / (tau2_j lam + sigma2_j) along U and
+    S = sum_j 1 / sigma2_j off it.  E sums positive terms, so it stays
+    positive, and its root adds sqrt(E) - sqrt(S) along U, taken as
+    D / (sqrt(E) + sqrt(S)) from the D = E - S that the mean uses.  E sums
+    over blocks of ``_ROW_BLOCK`` sweeps, and each factor that holds a kept
+    sweep draws one normal n-vector, in grid order."""
     sigma2, tau2, k_of = trace[:, 0], trace[:, 1], trace[:, 2].astype(np.int64)
-    total = y * float(np.sum(1.0 / sigma2)) + (1.0 / np.sqrt(sigma2)) @ Z
+    total = np.zeros(len(y))
     for k, factor in enumerate(factors):
         rows = np.flatnonzero(k_of == k)
-        y_u = factor.U.T @ y
-        c = np.zeros(factor.r)
+        if not len(rows):
+            continue
+        E = np.zeros(factor.r)
         for start in range(0, len(rows), _ROW_BLOCK):
             J = rows[start : start + _ROW_BLOCK]
-            c += _draw_coefficients(factor, y_u, sigma2[J], tau2[J], Z[J]).sum(axis=0)
-        total += factor.U @ c
+            E += (1.0 / (tau2[J, None] * factor.lam + sigma2[J, None])).sum(axis=0)
+        S = float(np.sum(1.0 / sigma2[rows]))
+        z = rng.normal(size=len(y))
+        D = E - S
+        c = D * (factor.U.T @ y) + D / (np.sqrt(E) + math.sqrt(S)) * (factor.U.T @ z)
+        total += factor.U @ c + S * y + math.sqrt(S) * z
     return total
 
 
@@ -501,19 +517,18 @@ class GPSampler:
         """The chain from (sigma^2, tau^2) = (1, 1) at the middle of the phi
         grid: its kept trace, acceptance rate, final proposal scale, and
         ``pred_mean``, the mean over kept sweeps of one predictive draw
-        of f each."""
+        of f each, whose sum :func:`_predictive_sum` draws after the loop."""
         if steps < 1 or burn_in < 0:
             raise ValueError(f"need steps >= 1 and burn_in >= 0, got {steps} and {burn_in}")
         state = GPState(1.0, 1.0, len(self.factors) // 2)
         scale = _PROP_SCALE
         n_accept = 0
         trace = np.empty((steps, 3))
-        # each kept sweep's predictive draw is projected after the loop
-        Z = np.empty((steps, self.model.n))
         # y and the factors are fixed for the chain: stack them once
         grid = _stack(self.model.y, self.factors)
+        loglik = None
         for i in range(burn_in + steps):
-            state, accepted = mh_griddy_step(rng, state, self.model, grid, scale)
+            state, accepted, loglik = mh_griddy_step(rng, state, self.model, grid, scale, loglik)
             if i < burn_in:
                 # Robbins-Monro on the log proposal scale, burn-in only
                 scale = math.exp(
@@ -526,12 +541,11 @@ class GPSampler:
                 j = i - burn_in
                 n_accept += accepted
                 trace[j] = (state.sigma2, state.tau2, state.phi_index)
-                Z[j] = rng.normal(size=self.model.n)
         return {
             "trace": trace,
             "accept_rate": n_accept / steps,
             "prop_scale": scale,
-            "pred_mean": _predictive_sum(self.factors, self.model.y, trace, Z) / steps,
+            "pred_mean": _predictive_sum(rng, self.factors, self.model.y, trace) / steps,
         }
 
 
@@ -552,7 +566,7 @@ def prediction_rmse_curve(
     running = np.zeros(len(y))
     for start in range(0, n_draws, _ROW_BLOCK):
         Z = rng.normal(size=(min(_ROW_BLOCK, n_draws - start), len(y)))
-        F = _draw_coefficients(factor, y_u, [state.sigma2], [state.tau2], Z) @ factor.U.T
+        F = _draw_coefficients(factor, y_u, state, Z) @ factor.U.T
         F += y / state.sigma2 + Z / math.sqrt(state.sigma2)
         F[0] += running
         sums = np.cumsum(F, axis=0)

@@ -506,6 +506,9 @@ def cell_probability(nu: np.ndarray, lam: np.ndarray, index: np.ndarray) -> np.n
     """pi(c) = sum_h nu_h prod_j lambda^(j)_{h, c_j} for each row c of
     ``index`` (cells x p), multiplying in the order nu, lambda^(0), ...,
     lambda^(p-1)."""
+    p, _, d = lam.shape
+    if index.ndim != 2 or index.shape[1] != p or (index.size and not 0 <= index.min() <= index.max() < d):
+        raise ValueError(f"index needs rows of p = {p} entries in [0, {d})")
     w = np.full((len(index), len(nu)), nu)
     # term j is lambda^(j)_{h, c_j}, (cells x K)
     for term in lam.transpose(0, 2, 1)[np.arange(index.shape[1])[:, None], index.T]:

@@ -211,6 +211,15 @@ def test_discrete_frequencies():
         sample_discrete(rng, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [np.inf, 1.0], [1.0, -np.inf], [0.5, -0.5, 1.0], []])
+def test_discrete_refuses_weights_without_a_finite_positive_sum(weights):
+    """A NaN or an infinite weight once gave index 0 with no error."""
+    rng = SeededRng(8)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sample_discrete(rng, weights)
+    assert rng.uniform() == SeededRng(8).uniform()  # nothing drawn
+
+
 # ---------------------------------------------------------------------------
 # Polya-Gamma
 # ---------------------------------------------------------------------------

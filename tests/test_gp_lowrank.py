@@ -333,8 +333,11 @@ def test_sampler_run_rejects_empty_or_negative_budgets():
 
 
 def _old_run(sampler, rng, steps, burn_in):
-    """``GPSampler.run`` as it was before the projections of y were cached: every likelihood and predictive draw
-    projects y itself."""
+    """``GPSampler.run`` as it was before the projections of y were cached:
+    every likelihood projects y itself, and the MH ratio evaluates the
+    current phi's likelihood at both points, apart from the grid.  Each
+    visited factor's predictive sum is drawn after the loop, from sums
+    taken one sweep at a time."""
     model, factors, y = sampler.model, sampler.factors, sampler.model.y
 
     def loglik(factor, sigma2, tau2):
@@ -352,20 +355,22 @@ def _old_run(sampler, rng, steps, burn_in):
             + (-_PRIOR_A * z - _PRIOR_B * math.exp(-z))
         )
 
-    def f_draw(state, factor):
-        d = 1.0 / (state.tau2 * factor.lam + state.sigma2) - 1.0 / state.sigma2
-        mean = factor.U @ (d * (factor.U.T @ y)) + y / state.sigma2
+    def factor_draw(factor, rows):
+        """One draw of the sum of the predictive draws of ``rows``, sweeps
+        that sat on ``factor``: N(P y, P) with P the sum of their Psi."""
+        E, S = np.zeros(factor.r), 0.0
+        for sigma2, tau2, _ in rows:
+            E += 1.0 / (tau2 * factor.lam + sigma2)
+            S += 1.0 / sigma2
         z = rng.normal(size=len(y))
-        sig = math.sqrt(state.sigma2)
-        d_half = 1.0 / np.sqrt(state.tau2 * factor.lam + state.sigma2) - 1.0 / sig
-        return mean + factor.U @ (d_half * (factor.U.T @ z)) + z / sig
+        mean = factor.U @ ((E - S) * (factor.U.T @ y)) + S * y
+        root_u = np.sqrt(E) - math.sqrt(S)
+        return mean + factor.U @ (root_u * (factor.U.T @ z)) + math.sqrt(S) * z
 
     state = GPState(1.0, 1.0, len(factors) // 2)
     scale = _PROP_SCALE
     n_accept = 0
     trace = np.empty((steps, 3))
-    pred_sum = np.zeros(model.n)
-    pred_running = []
     for i in range(burn_in + steps):
         factor = factors[state.phi_index]
         x, z = math.log(state.sigma2), math.log(state.tau2)
@@ -392,10 +397,15 @@ def _old_run(sampler, rng, steps, burn_in):
             j = i - burn_in
             n_accept += accepted
             trace[j] = (state.sigma2, state.tau2, state.phi_index)
-            pred_sum += f_draw(state, factors[state.phi_index])
-            pred_running.append(pred_sum / (j + 1))
+    # the kept draws are independent given the trace: one draw of their sum
+    # per visited factor, in grid order
+    pred_sum = np.zeros(model.n)
+    for k, factor in enumerate(factors):
+        rows = [row for row in trace if row[2] == k]
+        if rows:
+            pred_sum += factor_draw(factor, rows)
     return {"trace": trace, "accept_rate": n_accept / steps, "prop_scale": scale,
-            "pred_running": pred_running}
+            "pred_mean": pred_sum / steps}
 
 
 def test_cached_projections_match_the_per_call_loop_bit_for_bit():
@@ -407,31 +417,24 @@ def test_cached_projections_match_the_per_call_loop_bit_for_bit():
     assert len(set(new["trace"][:, 2])) > 1  # the chain visits several factors
     assert (new["accept_rate"], new["prop_scale"]) == (old["accept_rate"], old["prop_scale"])
     # the batched pass sums the draws in another order than the loop did
-    want = old["pred_running"][-1]
+    want = old["pred_mean"]
     assert np.max(np.abs(new["pred_mean"] - want)) <= 1e-12 * np.max(np.abs(want))
     # the same generator position after both chains
     assert rng_new.normal(size=4).tobytes() == rng_old.normal(size=4).tobytes()
 
 
-@pytest.mark.parametrize("row_block", [7, 256])
-def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_block):
-    """``pred_mean`` against each kept sweep's draw rebuilt densely: Psi_j
-    and its symmetric root from ``eigh`` of tau_j^2 U Lambda U' + sigma_j^2 I,
-    applied to the normals the chain drew, replayed from the generator.  A
-    block of 7 rows leaves every factor a partial last block."""
-    monkeypatch.setattr(gp_lowrank, "_ROW_BLOCK", row_block)
-    s = _toy_sampler(24, delta=1e-4, n=40)
-    steps, burn_in = 50, 20
-    run = s.run(SeededRng(25), steps=steps, burn_in=burn_in)
-    assert len(set(run["trace"][:, 2])) > 1
-
-    # replay the chain's generator: each kept sweep draws its normals last
-    rng = SeededRng(25)
-    grid = _stack(s.model.y, s.factors)
-    state, scale = GPState(1.0, 1.0, len(s.factors) // 2), _PROP_SCALE
-    Z, trace = [], []
+def _dense_replay(sampler, rng, steps, burn_in):
+    """The chain's trace, replayed step by step from ``rng``,
+    and its ``pred_mean`` rebuilt densely: for each factor with a kept sweep,
+    in grid order, P = sum_j Psi_j with each Psi_j from ``eigh`` of
+    tau_j^2 U Lambda U' + sigma_j^2 I, and P y plus P's symmetric root,
+    from ``eigh`` of P, applied to the normals the chain draws for it after
+    the loop."""
+    grid = _stack(sampler.model.y, sampler.factors)
+    state, scale, loglik = GPState(1.0, 1.0, len(sampler.factors) // 2), _PROP_SCALE, None
+    trace = []
     for i in range(burn_in + steps):
-        state, accepted = mh_griddy_step(rng, state, s.model, grid, scale)
+        state, accepted, loglik = mh_griddy_step(rng, state, sampler.model, grid, scale, loglik)
         if i < burn_in:
             scale = math.exp(
                 math.log(scale)
@@ -441,19 +444,53 @@ def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_bloc
             scale = min(max(scale, 1e-3), 5.0)
         else:
             trace.append((state.sigma2, state.tau2, state.phi_index))
-            Z.append(rng.normal(size=s.model.n))
-    assert np.array_equal(np.array(trace), run["trace"])
+    trace = np.array(trace)
 
-    total = np.zeros(s.model.n)
-    for (sigma2, tau2, k), z in zip(run["trace"], Z):
-        f = s.factors[int(k)]
-        M = tau2 * (f.U * f.lam) @ f.U.T + sigma2 * np.eye(s.model.n)
-        vals, vecs = np.linalg.eigh(M)
-        psi = (vecs / vals) @ vecs.T
-        root = (vecs / np.sqrt(vals)) @ vecs.T
-        total += psi @ s.model.y + root @ z
-    want = total / steps
+    n, y = sampler.model.n, sampler.model.y
+    total = np.zeros(n)
+    for k, f in enumerate(sampler.factors):
+        rows = trace[trace[:, 2] == k]
+        if len(rows):
+            P = np.zeros((n, n))
+            for sigma2, tau2, _ in rows:
+                vals, vecs = np.linalg.eigh(tau2 * (f.U * f.lam) @ f.U.T + sigma2 * np.eye(n))
+                P += (vecs / vals) @ vecs.T
+            vals, vecs = np.linalg.eigh(P)
+            total += P @ y + (vecs * np.sqrt(vals)) @ vecs.T @ rng.normal(size=n)
+    return trace, total / steps
+
+
+@pytest.mark.parametrize("row_block", [7, 256])
+def test_predictive_mean_of_a_chain_matches_a_dense_replay(monkeypatch, row_block):
+    """``pred_mean`` against its dense rebuild by :func:`_dense_replay`.  A
+    block of 7 rows leaves every factor a partial last block."""
+    monkeypatch.setattr(gp_lowrank, "_ROW_BLOCK", row_block)
+    s = _toy_sampler(24, delta=1e-4, n=40)
+    steps, burn_in = 50, 20
+    run = s.run(SeededRng(25), steps=steps, burn_in=burn_in)
+    assert len(set(run["trace"][:, 2])) > 1
+
+    trace, want = _dense_replay(s, SeededRng(25), steps, burn_in)
+    assert np.array_equal(trace, run["trace"])
     assert np.max(np.abs(run["pred_mean"] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps, burn_in", [(1, 0), (6, 20)])
+def test_predictive_mean_of_a_short_chain_matches_a_dense_replay(steps, burn_in):
+    """As above for chains whose kept sweeps leave some grid factor
+    without a sweep, so it draws no normals.  With one sweep and no burn-in
+    the only kept sweep is the first, which evaluated its own grid vector."""
+    s = _toy_sampler(24, delta=1e-4, n=40)
+    rng = SeededRng(25)
+    run = s.run(rng, steps=steps, burn_in=burn_in)
+    assert 1 <= len(set(run["trace"][:, 2])) < len(s.factors)
+
+    replay = SeededRng(25)
+    trace, want = _dense_replay(s, replay, steps, burn_in)
+    assert np.array_equal(trace, run["trace"])
+    assert np.max(np.abs(run["pred_mean"] - want)) <= 1e-10 * np.max(np.abs(want))
+    # one normal n-vector per visited factor after the loop, and no more
+    assert rng.normal(size=3).tobytes() == replay.normal(size=3).tobytes()
 
 
 def test_factor_refuses_a_certificate_at_confidence_zero():
@@ -498,10 +535,13 @@ def test_mh_griddy_step_returns_valid_state():
     state = GPState(1.0, 1.0, 2)
     rng = SeededRng(17)
     grid = _stack(s.model.y, s.factors)
+    loglik = None
     for _ in range(20):
-        state, accepted = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE)
+        state, accepted, loglik = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE, loglik)
         assert isinstance(accepted, bool) or accepted in (True, False)
         assert 0 <= state.phi_index < len(s.factors)
+        # the returned grid likelihood is that of the new variances
+        assert loglik.tobytes() == _loglik(s.model.n, *grid, state.sigma2, state.tau2).tobytes()
 
 
 def test_gpstate_validation():

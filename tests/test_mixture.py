@@ -106,6 +106,16 @@ def test_cell_probabilities_sum_to_one():
             assert value == float(w.sum())
 
 
+def test_cell_probability_refuses_rows_off_the_grid():
+    """A negative entry once read lambda from the end of its row: at p = 2,
+    d = 4 the cells (-1, 0) and (3, 0) both gave pi = 0.01928."""
+    _, nu, lam, _ = simulate_contingency(SeededRng(0), p=2, d=4, K=3, N=10)
+    for index in ([[-1, 0]], [[0, 4]], [[3, 0], [0, -1]], [[0, 0, 0]], [[0]], [0, 0]):
+        with pytest.raises(ValueError, match=r"p = 2 entries in \[0, 4\)"):
+            cell_probability(nu, lam, np.array(index))
+    assert cell_probability(nu, lam, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
 def test_latent_class_probs_bayes_rule():
     nu = np.array([0.3, 0.7])
     lam = np.array([[[0.9, 0.1], [0.2, 0.8]]])  # p=1, K=2, d=2
