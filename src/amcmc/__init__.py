@@ -21,7 +21,6 @@ from .compminimax import (
     epsilon_compminimax,
     speedup_eval,
 )
-from .distributions import SeededRng
 
 __version__ = "0.1.0"
 
@@ -44,3 +43,14 @@ __all__ = [
     "SeededRng",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # SeededRng subclasses numpy's Generator, so importing it loads
+    # numpy.random, which numpy 2 otherwise loads on first use: imported on
+    # first access (PEP 562), a subcommand that draws nothing never pays it
+    if name == "SeededRng":
+        from .distributions import SeededRng
+
+        return SeededRng
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,9 +6,9 @@ manifest.json into --out; payloads are byte-reproducible for a fixed seed
 and step budget.
 
 The program needs numpy and the standard library only.  Importing this
-module loads numpy and the calculus modules; the sampler and diagnostics
-modules are imported by the handlers that run them, before any chain
-starts.
+module loads numpy and the calculus modules; ``SeededRng`` (which loads
+numpy.random) and the sampler and diagnostics modules are imported by the
+handlers that run them, before any chain starts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import bounds as bnd
 from . import compminimax as cmx
 from . import finite_chain as fc
 from .config import resolve_config, parse_config_file, write_csv, write_manifest
-from .distributions import SeededRng
 
 #: Module attributes imported on first access (PEP 562), for callers that
 #: reach the sampler and diagnostics modules through this one.  The handlers
@@ -277,6 +276,8 @@ def cmd_compminimax(cfg: dict, out: Path) -> int:
 def finite_chain_checks() -> list[tuple[str, bool, float]]:
     """The sharpness suite: every finite-chain-lab invariant as a check row
     (name, passed, worst error)."""
+    from .distributions import SeededRng
+
     checks: list[tuple[str, bool, float]] = []
 
     worst = 0.0
@@ -354,6 +355,7 @@ def run_mixture_experiment(cfg: dict) -> dict:
     chain, and track pi on the most-occupied cells."""
     from . import diagnostics as diag
     from . import mixture as mix
+    from .distributions import SeededRng
 
     rng_sim = SeededRng(cfg["seed"], stream=0)
     priors = mix.MixturePriors(cfg["prior_alpha"], cfg["prior_a"])
@@ -433,6 +435,7 @@ def cmd_mixture(cfg: dict, out: Path) -> int:
 def run_logistic_experiment(cfg: dict) -> dict:
     from . import diagnostics as diag
     from . import pg_logistic as pg
+    from .distributions import SeededRng
 
     sizes = cfg["subset_sizes"]
     if not all(s == int(s) and cfg["p"] < s <= cfg["N"] for s in sizes):
@@ -503,6 +506,7 @@ def cmd_logistic(cfg: dict, out: Path) -> int:
 def cmd_gp(cfg: dict, out: Path) -> int:
     from . import diagnostics as diag
     from . import gp_lowrank as gp
+    from .distributions import SeededRng
 
     rng_sim = SeededRng(cfg["seed"], stream=0)
     X, f_true, y = gp.simulate_gp(

@@ -1,9 +1,10 @@
 """Seeded random-variate primitives shared by all samplers.
 
-A :class:`SeededRng` wraps a counter-based numpy ``Philox`` bit generator
-keyed on (seed, stream), with stream < 2**16, so per-chain streams are
-independent by construction and identical (seed, stream) pairs reproduce
-identical variate sequences across runs and platforms.
+A :class:`SeededRng` is a numpy ``Generator`` on a counter-based ``Philox``
+bit generator keyed on (seed, stream), with seed < 2**112 and
+stream < 2**16, so per-chain streams are independent by construction and
+identical (seed, stream) pairs reproduce identical variate sequences across
+runs and platforms.  The samplers call its ``Generator`` methods directly.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ __all__ = [
 ]
 
 
-class SeededRng:
-    """Counter-based generator with explicit (seed, stream) identity."""
+class SeededRng(np.random.Generator):
+    """A numpy ``Generator`` on the Philox key (seed << 16) + stream."""
 
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
@@ -34,23 +35,10 @@ class SeededRng:
         # a stream of the next seed
         if stream >= 1 << 16:
             raise ValueError(f"stream must be below 2**16, got {stream}")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=(self.seed << 16) + self.stream)
-        )
-
-    # thin pass-throughs used throughout the samplers
-    def uniform(self, size=None):
-        return self._gen.uniform(size=size)
-
-    def normal(self, size=None):
-        return self._gen.standard_normal(size=size)
-
-    def subset(self, n: int, size: int) -> np.ndarray:
-        """Sorted indices of a uniform draw of ``size`` of range(n), without
-        replacement."""
-        return np.sort(self._gen.choice(n, size, replace=False, shuffle=False))
+        # Philox keys are below 2**128, which leaves the seed 112 bits
+        if seed >= 1 << 112:
+            raise ValueError(f"seed must be below 2**112, got {seed}")
+        super().__init__(np.random.Philox(key=(int(seed) << 16) + int(stream)))
 
 
 def sample_dirichlet(rng: SeededRng, *concentrations):
@@ -63,11 +51,10 @@ def sample_dirichlet(rng: SeededRng, *concentrations):
     flat = np.concatenate([c.ravel() for c in concs])
     if (flat <= 0.0).any():
         raise ValueError("Dirichlet concentrations must be positive")
-    gen = rng._gen
-    state = gen.bit_generator.state
+    state = rng.bit_generator.state
     # standard_gamma is gamma at scale 1 without the multiply by 1: the
     # same variates, drawn in the same order
-    g = gen.standard_gamma(flat)
+    g = rng.standard_gamma(flat)
     draws, totals, start = [], [], 0
     for c in concs:
         draws.append(g[start:start + c.size].reshape(c.shape))
@@ -81,13 +68,13 @@ def sample_dirichlet(rng: SeededRng, *concentrations):
         # takes the argmax convention (all mass on one uniformly drawn
         # coordinate).  Replay the rows one at a time so its draw comes
         # where the loop takes it.
-        gen.bit_generator.state = state
+        rng.bit_generator.state = state
         for x, c in zip(draws, concs):
             for out, row in zip(x.reshape(-1, c.shape[-1]), c.reshape(-1, c.shape[-1])):
-                out[:] = gen.standard_gamma(row)
+                out[:] = rng.standard_gamma(row)
                 total = out.sum()
                 if total == 0.0:
-                    out[int(gen.integers(len(row)))] = 1.0
+                    out[int(rng.integers(len(row)))] = 1.0
                 else:
                     out /= total
     return draws[0] if len(draws) == 1 else tuple(draws)
@@ -105,7 +92,7 @@ def sample_multinomial(rng: SeededRng, n: int, probs) -> np.ndarray:
         # numpy rejects leading probabilities that sum past 1 + 1e-12;
         # within the tolerance above, take the renormalized vector
         p = p / p.sum()
-    return rng._gen.multinomial(n, p)
+    return rng.multinomial(n, p)
 
 
 def sample_mvn(rng: SeededRng, mean, covariance) -> np.ndarray:
@@ -125,7 +112,7 @@ def sample_mvn(rng: SeededRng, mean, covariance) -> np.ndarray:
                 f"covariance has negative eigenvalue {vals.min():.3e}"
             )
         root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return mean + root @ rng.normal(size=len(mean))
+    return mean + root @ rng.standard_normal(size=len(mean))
 
 
 def sample_discrete(rng: SeededRng, probs) -> int:
@@ -329,13 +316,12 @@ def sample_polya_gamma(rng: SeededRng, c) -> np.ndarray | float:
         raise ValueError("Polya-Gamma tilts must be finite")
     z = 0.5 * np.abs(cv)
 
-    gen = rng._gen
     lo, hi = _pg_bracket(z)
     out = np.empty(z.size)
     todo = np.arange(z.size)
     while todo.size:
         # one uniform chooses the piece, the other runs the series test
-        u_piece, u_test = gen.uniform(size=(2, todo.size))
+        u_piece, u_test = rng.uniform(size=(2, todo.size))
         zt = z[todo]
         right = _pg_right(u_piece, zt, lo[todo], hi[todo])
         left = ~right
@@ -343,8 +329,8 @@ def sample_polya_gamma(rng: SeededRng, c) -> np.ndarray | float:
         # the exponential rate pi^2 / 8 + z^2 / 2 is finite wherever p_right
         # is positive, so a chosen right piece never overflows it
         zr = zt[right]
-        x[right] = _PG_T + gen.standard_exponential(zr.size) / (0.125 * math.pi**2 + 0.5 * zr * zr)
-        x[left] = _pg_left_proposal(gen, zt[left])
+        x[right] = _PG_T + rng.standard_exponential(zr.size) / (0.125 * math.pi**2 + 0.5 * zr * zr)
+        x[left] = _pg_left_proposal(rng, zt[left])
         out[todo] = 0.25 * x  # a rejected entry is written again when it is accepted
         todo = todo[~_pg_accept(u_test, x)]
     return float(out[0]) if scalar else out

@@ -18,7 +18,9 @@ proposed variances; the MH ratio and the phi weights read that vector and
 the one kept from the last sweep.  The chain's predictive mean averages one
 draw of f per kept sweep.  Given the trace those draws are independent, so
 after the loop their sum on each factor is drawn from its own Gaussian law,
-one normal n-vector per factor that holds a kept sweep.
+one normal n-vector per factor that holds a kept sweep.  One function,
+``_gaussian_rows``, draws every such law N(P y, P) on a factor: one sweep's,
+the chain's sums, and at z = 0 the predictive mean.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def randomized_partial_eig(
         Martinsson & Tropp 2011, sec. 4.4)."""
         nonlocal k
         Qk = Q[:, :k]
-        Y = Sigma @ rng.normal(size=(n, columns))
+        Y = Sigma @ rng.standard_normal(size=(n, columns))
         Y -= Qk @ (Qk.T @ Y)
         Qb, Rb = np.linalg.qr(Y)
         Qb = Qb[:, np.abs(np.diag(Rb)) > 1e-12 * scale]
@@ -220,7 +222,7 @@ def randomized_partial_eig(
     # each block is as large as the basis, so rank k takes O(log k) rounds
     full_rank = False
     while extend(max(_BLOCK, k)) and k < n:
-        W = rng.normal(size=(n, _N_PROBES))
+        W = rng.standard_normal(size=(n, _N_PROBES))
         R = Sigma @ W
         R -= Q[:, :k] @ (Q[:, :k].T @ R)
         est_f2 = float(np.einsum("ij,ij->", R, R)) / _N_PROBES
@@ -295,7 +297,7 @@ def eig_accuracy_metrics(
     n = factor.U.shape[0]
     F = float(np.linalg.norm(np.eye(r) - M) / math.sqrt(n))
 
-    beta = rng.normal(size=r)
+    beta = rng.standard_normal(size=r)
     y = vecs @ beta
     gram = factor.U.T @ factor.U
     fitted = factor.U @ np.linalg.solve(gram, factor.U.T @ y)
@@ -381,7 +383,7 @@ def mh_griddy_step(
     k = state.phi_index
     x = math.log(state.sigma2)
     z = math.log(state.tau2)
-    step = prop_scale * rng.normal(size=2)
+    step = prop_scale * rng.standard_normal(size=2)
     x_new, z_new = x + step[0], z + step[1]
     sigma2, tau2 = math.exp(x_new), math.exp(z_new)
     proposed = _loglik(model.n, *grid, sigma2, tau2)
@@ -399,28 +401,24 @@ def mh_griddy_step(
     return GPState(sigma2, tau2, phi_index), accepted, loglik
 
 
-def _psi_scales(factor: LowRankFactor, state: GPState) -> tuple[np.ndarray, np.ndarray]:
-    """(d, d_half): the eigenvalues of Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}
-    and of its symmetric root along U, less their values 1/sigma^2 and
-    1/sigma off it."""
-    scale = state.tau2 * factor.lam + state.sigma2
-    return 1.0 / scale - 1.0 / state.sigma2, 1.0 / np.sqrt(scale) - 1.0 / math.sqrt(state.sigma2)
-
-
-def _draw_coefficients(
-    factor: LowRankFactor, y_u: np.ndarray, state: GPState, Z: np.ndarray
+def _gaussian_rows(
+    factor: LowRankFactor, y: np.ndarray, E: np.ndarray, S: float, Z: np.ndarray
 ) -> np.ndarray:
-    """Rows c_j = d U'y + d_half U'z_j, one per row z_j of ``Z``, of the
-    draws f_j = U c_j + y / sigma2 + z_j / sigma of f ~ N(Psi y, Psi);
-    ``y_u`` is U'y."""
-    d, d_half = _psi_scales(factor, state)
-    return d * y_u + d_half * (Z @ factor.U)
+    """Rows P y + P^(1/2) z, one per row z of ``Z``: draws of N(P y, P) with
+    P = U diag(E) U' + S (I - U U').  The root adds sqrt(E) - sqrt(S) along
+    U, taken as D / (sqrt(E) + sqrt(S)) from the D = E - S that the mean
+    uses.  Every predictive law of f is one: a sweep's Psi has
+    E = 1 / (tau2 lam + sigma2) and S = 1 / sigma2, and a sum of
+    independent draws on one factor sums its terms' E and S."""
+    D = E - S
+    C = D * (factor.U.T @ y) + D / (np.sqrt(E) + math.sqrt(S)) * (Z @ factor.U)
+    return C @ factor.U.T + S * y + math.sqrt(S) * Z
 
 
 def predictive_mean(state: GPState, factor: LowRankFactor, y: np.ndarray) -> np.ndarray:
     """Psi y with Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}."""
-    d = _psi_scales(factor, state)[0]
-    return factor.U @ (d * (factor.U.T @ y)) + y / state.sigma2
+    E = 1.0 / (state.tau2 * factor.lam + state.sigma2)
+    return _gaussian_rows(factor, y, E, 1.0 / state.sigma2, np.zeros((1, len(y))))[0]
 
 
 def predictive_f_draw(
@@ -428,9 +426,9 @@ def predictive_f_draw(
 ) -> np.ndarray:
     """Draw f ~ N(Psi y, Psi) using the eigen-identity for Psi and its
     symmetric square root."""
-    z = rng.normal(size=len(y))
-    c = _draw_coefficients(factor, factor.U.T @ y, state, z[None])[0]
-    return factor.U @ c + y / state.sigma2 + z / math.sqrt(state.sigma2)
+    E = 1.0 / (state.tau2 * factor.lam + state.sigma2)
+    Z = rng.standard_normal(size=(1, len(y)))
+    return _gaussian_rows(factor, y, E, 1.0 / state.sigma2, Z)[0]
 
 
 def _predictive_sum(
@@ -442,10 +440,8 @@ def _predictive_sum(
     on factor k is one draw of N(P y, P), P = sum_j Psi_j, whose
     eigenvalues are E = sum_j 1 / (tau2_j lam + sigma2_j) along U and
     S = sum_j 1 / sigma2_j off it.  E sums positive terms, so it stays
-    positive, and its root adds sqrt(E) - sqrt(S) along U, taken as
-    D / (sqrt(E) + sqrt(S)) from the D = E - S that the mean uses.  E sums
-    over blocks of ``_ROW_BLOCK`` sweeps, and each factor that holds a kept
-    sweep draws one normal n-vector, in grid order."""
+    positive.  E sums over blocks of ``_ROW_BLOCK`` sweeps, and each factor
+    that holds a kept sweep draws one normal n-vector, in grid order."""
     sigma2, tau2, k_of = trace[:, 0], trace[:, 1], trace[:, 2].astype(np.int64)
     total = np.zeros(len(y))
     for k, factor in enumerate(factors):
@@ -457,10 +453,7 @@ def _predictive_sum(
             J = rows[start : start + _ROW_BLOCK]
             E += (1.0 / (tau2[J, None] * factor.lam + sigma2[J, None])).sum(axis=0)
         S = float(np.sum(1.0 / sigma2[rows]))
-        z = rng.normal(size=len(y))
-        D = E - S
-        c = D * (factor.U.T @ y) + D / (np.sqrt(E) + math.sqrt(S)) * (factor.U.T @ z)
-        total += factor.U @ c + S * y + math.sqrt(S) * z
+        total += _gaussian_rows(factor, y, E, S, rng.standard_normal(size=(1, len(y))))[0]
     return total
 
 
@@ -561,13 +554,12 @@ def prediction_rmse_curve(
     predictive mean, one entry per draw count 1..n_draws.  The draws come
     _ROW_BLOCK at a time; a block's normals are the variates that one call
     per draw would take."""
-    y_u = factor.U.T @ y
+    E = 1.0 / (state.tau2 * factor.lam + state.sigma2)
     rmse = np.empty(n_draws)
     running = np.zeros(len(y))
     for start in range(0, n_draws, _ROW_BLOCK):
-        Z = rng.normal(size=(min(_ROW_BLOCK, n_draws - start), len(y)))
-        F = _draw_coefficients(factor, y_u, state, Z) @ factor.U.T
-        F += y / state.sigma2 + Z / math.sqrt(state.sigma2)
+        Z = rng.standard_normal(size=(min(_ROW_BLOCK, n_draws - start), len(y)))
+        F = _gaussian_rows(factor, y, E, 1.0 / state.sigma2, Z)
         F[0] += running
         sums = np.cumsum(F, axis=0)
         running = sums[-1]
@@ -632,12 +624,12 @@ def simulate_gp(
     if design == "grid":
         X = np.linspace(0.0, 1.0, n)[:, None]
     elif design == "normal":
-        X = rng.normal(size=(n, q))
+        X = rng.standard_normal(size=(n, q))
     else:
         raise ValueError("design must be 'grid' or 'normal'")
     Sigma = se_covariance(X, phi)
     vals, vecs = np.linalg.eigh(Sigma)
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    f = math.sqrt(tau2) * (root @ rng.normal(size=n))
-    y = f + math.sqrt(sigma2) * rng.normal(size=n)
+    f = math.sqrt(tau2) * (root @ rng.standard_normal(size=n))
+    y = f + math.sqrt(sigma2) * rng.standard_normal(size=n)
     return X, f, y

@@ -293,11 +293,10 @@ def _allocate(
     for an exact cell and of the remainder for a Gaussian one.  With no
     Gaussian cell that is a single multinomial call, as in the exact sweep.
     """
-    gen = rng._gen
     # no class is Gaussian at an infinite n_min: nothing to test
     rows = np.flatnonzero((counts[:, None] * probs > n_min).any(axis=1)) if n_min < math.inf else ()
     if not len(rows):
-        return gen.multinomial(counts, probs)
+        return rng.multinomial(counts, probs)
     n, nu = counts[rows], probs[rows]
     h = n[:, None] * nu > n_min
     # N(n nu_H, n (diag nu_H - nu_H nu_H')) as n nu_H + sqrt(n) R z, with
@@ -307,7 +306,7 @@ def _allocate(
     # nu_H = 0 and z = 0.
     nu_h = np.where(h, nu, 0.0)
     rz = np.zeros(h.shape)
-    rz[h] = gen.standard_normal(np.count_nonzero(h))
+    rz[h] = rng.standard_normal(np.count_nonzero(h))
     rz *= np.sqrt(nu_h)
     c = 1.0 / (1.0 + np.sqrt(np.maximum(1.0 - nu_h.sum(axis=1, keepdims=True), 0.0)))
     w = n[:, None] * nu_h + np.sqrt(n)[:, None] * (rz - c * nu_h * rz.sum(axis=1, keepdims=True))
@@ -337,7 +336,7 @@ def _allocate(
     n_all, p_all = counts.copy(), probs.copy()
     n_all[rows] = rest
     p_all[rows] = (q / mass)[cell, order]
-    Z = gen.multinomial(n_all, p_all)
+    Z = rng.multinomial(n_all, p_all)
     Zg[cell, order] += Z[rows]
     Z[rows] = Zg
     return Z
@@ -536,15 +535,14 @@ def simulate_contingency(
 
     cells: dict[Cell, int] = {}
     if N > 0:
-        gen = rng._gen
-        z = gen.choice(K, size=N, p=nu)
+        z = rng.choice(K, size=N, p=nu)
         obs = np.empty((N, p), dtype=np.int64)
         for j in range(p):
             for h in range(K):
                 mask = z == h
                 m = int(mask.sum())
                 if m:
-                    obs[mask, j] = gen.choice(d, size=m, p=lam[j, h])
+                    obs[mask, j] = rng.choice(d, size=m, p=lam[j, h])
         # each row as its mixed-radix key, below d**p <= 2**64 by the guard
         # above; keys sort as their rows do
         radix = np.uint64(d)

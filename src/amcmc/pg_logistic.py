@@ -125,7 +125,7 @@ def _draw_beta(
     matched seeds give bit-identical draws whenever A and h match.
     """
     L = _precision_factor(scale * (Xr.T * omega) @ Xr + B_inv)
-    z = rng.normal(size=len(h))
+    z = rng.standard_normal(size=len(h))
     return np.linalg.solve(L.T, np.linalg.solve(L, h) + z)
 
 
@@ -136,7 +136,7 @@ def _sweep(rng: SeededRng, state: PGState, data: LogisticData, B_inv: np.ndarray
     if size == data.N:
         rows, Xr = np.arange(data.N), data.X
     else:
-        rows = rng.subset(data.N, size)
+        rows = np.sort(rng.choice(data.N, size, replace=False, shuffle=False))
         Xr = data.X[rows]
     omega = np.asarray(sample_polya_gamma(rng, Xr @ state.beta))
     beta = _draw_beta(rng, Xr, omega, data.N / size, B_inv, data.Xt_kappa)
@@ -294,7 +294,7 @@ def simulate_logistic(rng: SeededRng, N: int, p: int) -> tuple[LogisticData, np.
     """Synthetic standardized logistic data with known coefficients, evenly
     spaced on [-1.5, 1.5]."""
     beta_true = np.linspace(-1.5, 1.5, p)
-    X = rng.normal(size=(N, p))
+    X = rng.standard_normal(size=(N, p))
     logits = X @ beta_true
     y = (rng.uniform(size=N) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
     return LogisticData.standardize(X, y), beta_true

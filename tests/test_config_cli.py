@@ -402,6 +402,20 @@ def test_cli_gp_epsilon_whose_delta_underflows_exits_2_naming_epsilon(tmp_path, 
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("seed", [2**112 - 1, 2**112])
+def test_cli_gp_seed_at_the_philox_key_bound(tmp_path, capsys, seed):
+    """The largest seed the Philox key holds runs; the next exits 2 with a
+    record that names the seed and its bound."""
+    code = main(["gp", "--seed", str(seed), "--n", "10", "--steps", "2", "--out", str(tmp_path)])
+    if seed < 2**112:
+        assert code == 0 and (tmp_path / "manifest.json").exists()
+        return
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": f"seed must be below 2**112, got {seed}", "subcommand": "gp"}
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -692,6 +706,21 @@ def test_cli_import_loads_no_sampler_module():
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] 0"
+
+
+def test_cli_import_leaves_numpy_random_to_the_subcommands_that_draw():
+    """``SeededRng`` subclasses numpy's Generator, so importing it loads
+    numpy.random, which numpy 2 loads only on first use.  ``import
+    amcmc.cli`` loads neither; ``amcmc.SeededRng`` imports it on first
+    access."""
+    code = (
+        "import sys, numpy; lazy = 'numpy.random' not in sys.modules; import amcmc.cli; "
+        "print(not lazy or 'numpy.random' not in sys.modules, 'amcmc.distributions' in sys.modules); "
+        "import amcmc, amcmc.distributions as d; print(amcmc.SeededRng is d.SeededRng)"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "True"]
 
 
 #: Each sampler at a size that runs in milliseconds.

@@ -57,6 +57,34 @@ def test_rng_streams_do_not_alias_seeds():
     assert not np.array_equal(SeededRng(0, 65535).normal(size=5), SeededRng(1, 0).normal(size=5))
 
 
+def test_rng_names_a_seed_past_the_philox_key():
+    """Philox keys are below 2**128 and the stream takes 16 bits, so the
+    seed has 112.  Past them numpy's own message named the key, not the
+    seed."""
+    SeededRng(2**112 - 1, 2**16 - 1)
+    with pytest.raises(ValueError, match=r"^seed must be below 2\*\*112, got 5192296858534827628530496329220096$"):
+        SeededRng(2**112)
+
+
+def test_rng_is_the_generator_on_its_philox_key():
+    """SeededRng(s, k) is a numpy Generator, and draws bit for bit what a
+    Generator on the Philox key (s << 16) + k draws."""
+    draws = [
+        lambda g: g.uniform(size=7),
+        lambda g: g.standard_normal(size=7),
+        lambda g: g.normal(size=7),
+        lambda g: g.multinomial(50, [0.2, 0.3, 0.5]),
+        lambda g: g.standard_gamma(np.array([0.3, 1.0, 20.0])),
+        lambda g: g.choice(1000, 20, replace=False, shuffle=False),
+    ]
+    for s, k in [(0, 0), (42, 1), (7, 2**16 - 1), (2**112 - 1, 2**16 - 1)]:
+        rng = SeededRng(s, k)
+        ref = np.random.Generator(np.random.Philox(key=(s << 16) + k))
+        assert isinstance(rng, np.random.Generator)
+        for draw in draws:
+            assert draw(rng).tobytes() == draw(ref).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # simplex / counting draws
 # ---------------------------------------------------------------------------
@@ -129,7 +157,7 @@ def test_dirichlet_draws_the_variates_of_generator_gamma():
         got_rng, ref_rng = SeededRng(seed), SeededRng(seed)
         want = []
         for conc in concs:
-            draw, hits = _dirichlet_by_gamma(ref_rng._gen, conc)
+            draw, hits = _dirichlet_by_gamma(ref_rng, conc)
             want.append(draw)
             fallbacks += hits
         got = sample_dirichlet(got_rng, *concs)
@@ -320,7 +348,7 @@ def test_pg_left_piece_is_the_truncated_inverse_gaussian(z):
     """One-sample KS of the left envelope piece against its CDF, on both
     proposal regimes (z < 1/t: the Levy law thinned; z >= 1/t: the inverse
     Gaussian kept below t) and at their boundary z = 1/t."""
-    x = _pg_left_proposal(SeededRng(21)._gen, np.full(20_000, z))
+    x = _pg_left_proposal(SeededRng(21), np.full(20_000, z))
     assert np.all((0.0 < x) & (x <= _PG_T))
     assert stats.kstest(x, lambda v: _truncated_ig_cdf(v, z)).pvalue > 1e-3
 

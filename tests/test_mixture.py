@@ -551,12 +551,12 @@ def test_sample_multinomial_is_the_sequential_binomial_decomposition():
         p = np.asarray(p, dtype=np.float64)
         rng = SeededRng(i)
         got = sample_multinomial(rng, n, p)
-        want = _sequential_binomial_multinomial(SeededRng(i)._gen, n, p)
+        want = _sequential_binomial_multinomial(SeededRng(i), n, p)
         assert np.array_equal(got, want), (n, p)
         assert got.dtype == np.int64
         # and the two left the generator in the same place
         ref = SeededRng(i)
-        _sequential_binomial_multinomial(ref._gen, n, p)
+        _sequential_binomial_multinomial(ref, n, p)
         assert rng.uniform() == ref.uniform()
     # off the simplex by less than the 1e-9 tolerance, past numpy's 1e-12
     for p, want in (([1 + 5e-10, 0.0], [5, 0]), ([0.0, 1 + 5e-10, 0.0], [0, 5, 0])):
@@ -600,10 +600,10 @@ def test_batched_sweeps_match_per_cell_sweeps_bit_for_bit():
         for _ in range(5):
             if math.isinf(n_min):
                 new = gibbs_step_exact(new_rng, new, data, priors)
-                old = per_cell.sweep(ref_rng._gen, old, data, priors, n_min)
+                old = per_cell.sweep(ref_rng, old, data, priors, n_min)
             else:
                 new = gibbs_step_approx(new_rng, new, data, priors, n_min)
-                old = two_pass.sweep(ref_rng._gen, old, data, priors, n_min)
+                old = two_pass.sweep(ref_rng, old, data, priors, n_min)
             _assert_same_state(new, old)
         assert new_rng.uniform() == ref_rng.uniform()
     assert set(per_cell.hits) == {"exact cell"}
@@ -623,7 +623,7 @@ def test_approx_draw_and_class_probs_match_per_cell_code():
         n_c = int(gen.choice([1, 10, 100, 5000]))
         n_min = float(gen.choice([0.0, 5.0, 50.0, math.inf]))
         got = approx_multinomial_draw(SeededRng(i), n_c, nu, n_min)
-        assert np.array_equal(got, ref.allocate(SeededRng(i)._gen, [n_c], [nu], n_min)[0])
+        assert np.array_equal(got, ref.allocate(SeededRng(i), [n_c], [nu], n_min)[0])
     # whole tables, cells of every kind mixed
     for i in range(100):
         K, cells = int(gen.integers(1, 6)), int(gen.integers(1, 30))
@@ -632,7 +632,7 @@ def test_approx_draw_and_class_probs_match_per_cell_code():
         n_min = float(gen.choice([0.0, 5.0, 50.0]))
         rng, ref_rng = SeededRng(100 + i), SeededRng(100 + i)
         got = _allocate(rng, counts, probs, n_min)
-        assert np.array_equal(got, ref.allocate(ref_rng._gen, counts, probs, n_min))
+        assert np.array_equal(got, ref.allocate(ref_rng, counts, probs, n_min))
         assert rng.uniform() == ref_rng.uniform()
     _, nu, lam, _ = simulate_contingency(SeededRng(6), p=3, d=4, K=3, N=10)
     state = MixtureState(nu, lam, {})
@@ -652,7 +652,7 @@ def test_batched_draw_has_the_law_of_the_per_cell_draw():
     n_min, R = 20.0, 6000
     batched = _allocate(SeededRng(31), np.tile(counts, R), np.tile(probs, (R, 1)), n_min)
     batched = batched.reshape(R, len(counts), 3)
-    gen, ref = SeededRng(32)._gen, _PerCellSweep()
+    gen, ref = SeededRng(32), _PerCellSweep()
     per_cell = np.array([[ref.draw(gen, n, nu, n_min) for n, nu in zip(counts, probs)] for _ in range(R)])
     assert {"exact cell", "complement draw", "|H| = K"} <= set(ref.hits)
     moments = []
@@ -709,7 +709,7 @@ def test_allocate_rows_hold_their_counts_and_h_its_gaussian_draw(table, n_min, s
     assert np.all(Z >= 0) and np.array_equal(Z.sum(axis=1), counts)
     # the normals come first: rebuild each Gaussian cell's rounded draw
     H = counts[:, None] * probs > n_min
-    normals = iter(SeededRng(seed)._gen.standard_normal(int(H.sum())))
+    normals = iter(SeededRng(seed).standard_normal(int(H.sum())))
     ref = _TwoPassSweep()
     for z, n_c, nu, h in zip(Z, counts, probs, H):
         if not h.any():
@@ -771,13 +771,13 @@ def test_simulate_contingency_counts_rows_as_the_row_loop():
         rng = SeededRng(seed)
         assert np.array_equal(sample_dirichlet(rng, np.full(K, 1.0)), nu)
         assert np.array_equal(sample_dirichlet(rng, np.full((p, K, d), 1.0)), lam)
-        z = rng._gen.choice(K, size=N, p=nu)
+        z = rng.choice(K, size=N, p=nu)
         obs = np.empty((N, p), dtype=np.int64)
         for j in range(p):
             for h in range(K):
                 mask = z == h
                 if mask.any():
-                    obs[mask, j] = rng._gen.choice(d, size=int(mask.sum()), p=lam[j, h])
+                    obs[mask, j] = rng.choice(d, size=int(mask.sum()), p=lam[j, h])
         cells = {}
         for row in obs:
             c = tuple(int(v) for v in row)

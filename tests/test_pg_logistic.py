@@ -170,7 +170,7 @@ def test_audit_tv_matches_dense_covariance_kl():
     built from explicit covariance inverses and the same audit draw."""
     data, _ = simulate_logistic(SeededRng(15), 300, 4)
     B_inv = np.linalg.inv(_prior(4))
-    rows = SeededRng(16).subset(data.N, 250)
+    rows = np.sort(SeededRng(16).choice(data.N, 250, replace=False, shuffle=False))
     state = PGState(np.array([0.5, -1.0, 0.2, 1.5]), np.full(250, 0.25), rows)
     got = _audit_tv(SeededRng(17), state, data, B_inv)
 
