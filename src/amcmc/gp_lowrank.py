@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SeededRng, sample_discrete
+from .distributions import SeededRng, sample_discrete, sample_mvn
 
 __all__ = [
     "GPModel",
@@ -56,6 +56,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: Range finder: Gaussian columns per basis block, extra columns after the
 #: certificate, and probes per residual estimate.
 _BLOCK, _OVERSAMPLE, _N_PROBES = 8, 10, 10
+
+#: Largest range-finder basis, oversample included, as a fraction of n: a
+#: basis that would pass it is dropped for a dense eigendecomposition.
+#: Calibrated on the normal design (q = 6, seed 501), one BLAS thread, min of
+#: 3 interleaved runs: a Nystrom factor on a basis of about 0.27 n beats
+#: ``eigh`` (104 against 138 ms at n = 1000, basis 266; 592 against 1183 ms at
+#: n = 2000, basis 522), and one on about 0.53 n loses to it (51 against
+#: 21 ms at n = 500, r = 118; 268 against 143 ms at n = 1000, r = 180).
+_NYSTROM_MAX_FRACTION = 1.0 / 3.0
 
 #: Initial random-walk scale on (log sigma^2, log tau^2), and the acceptance
 #: rate its burn-in adaptation aims at.
@@ -98,7 +107,7 @@ class LowRankFactor:
     lam: np.ndarray  # (r,) eigenvalues, descending
     delta: float
     resid_fro: float  # measured ||Sigma - U diag(lam) U'||_F
-    full_rank: bool = False  # basis reached n, or its next block would: dense eigh
+    full_rank: bool = False  # dense eigh: basis past n/3, or after a dense grid factor
 
     @property
     def r(self) -> int:
@@ -155,6 +164,61 @@ def _lower_gamma_inv(a: int, q: float) -> float:
     raise ArithmeticError(f"P^-1({a}, {q}) did not converge")  # pragma: no cover
 
 
+def _check_factor_inputs(Sigma: np.ndarray, delta: float) -> None:
+    """Refuse what no factor can meet: a delta that is not positive (a NaN
+    one too, which no residual exceeds) or a Sigma that is not finite."""
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not np.isfinite(Sigma).all():
+        raise ValueError("Sigma must be finite")
+
+
+def _half_delta2(delta: float) -> float:
+    """(delta / 2)^2; the square overflows a double past delta = 2.68e154."""
+    return (delta / 2.0) ** 2 if delta < 2.68e154 else math.inf
+
+
+def _truncation_rank(lam: np.ndarray, delta: float) -> int:
+    """The smallest rank m >= 1 whose dropped spectral mass, over ``lam``
+    descending, keeps the overall Frobenius budget: ||Sigma - Sigma_m||_F <=
+    ||Sigma - Sigma_r||_F + sqrt(sum of dropped lam^2), so dropping tail
+    mass up to delta/2 keeps the total within delta.  The trailing
+    directions kept stay well above the accuracy floor."""
+    tail2 = np.cumsum(lam[::-1] ** 2)[::-1]  # tail2[i] = sum_{j >= i} lam_j^2
+    cut = np.searchsorted(-tail2, -_half_delta2(delta))  # first i with tail2[i] <= target
+    return max(int(cut), 1)
+
+
+def _checked_factor(
+    Sigma: np.ndarray, U: np.ndarray, lam: np.ndarray, delta: float, full_rank: bool, floor: str
+) -> LowRankFactor:
+    """The factor (U, lam) of Sigma, or ``ValueError`` when its measured
+    residual exceeds delta, naming the ``floor`` its branch sets."""
+    resid_fro = float(np.linalg.norm(Sigma - (U * lam) @ U.T))
+    if resid_fro > delta:
+        raise ValueError(
+            f"the rank-{len(lam)} factor (n = {Sigma.shape[0]}) misses delta = {delta:.3e}: "
+            f"||Sigma - U Lambda U'||_F = {resid_fro:.3e}; {floor} a floor near that"
+        )
+    return LowRankFactor(U, lam, delta, resid_fro, full_rank)
+
+
+def _dense_factor(Sigma: np.ndarray, delta: float) -> LowRankFactor:
+    """Sigma's dense eigendecomposition, truncated to
+    :func:`_truncation_rank`, with ``full_rank`` set.  Raises ``ValueError``
+    as :func:`randomized_partial_eig` does."""
+    _check_factor_inputs(Sigma, delta)
+    vals, vecs = np.linalg.eigh(Sigma)
+    lam = np.clip(vals[::-1], 0.0, None)
+    m = _truncation_rank(lam, delta)
+    # the m kept columns, descending, in one copy: BLAS takes no negative
+    # column stride
+    U = vecs[:, ::-1][:, :m].copy()
+    return _checked_factor(
+        Sigma, U, lam[:m], delta, True, "the rounding of the dense eigendecomposition sets"
+    )
+
+
 def randomized_partial_eig(
     rng: SeededRng, Sigma: np.ndarray, delta: float, d_prob: int = 3
 ) -> LowRankFactor:
@@ -167,29 +231,24 @@ def randomized_partial_eig(
     >= 1 (chi-square lower-tail safety factor on ``_N_PROBES`` Gaussian
     probes);
     then ``_OVERSAMPLE`` extra columns are added before the Nystrom step.
-    A basis that fills R^n captures Sigma itself (with Q square and
-    orthogonal, Sigma Q (Q' Sigma Q)^{-1} Q' Sigma = Sigma), so when the
-    basis reaches n, or the next block would take it there, Sigma is
-    factored by its dense eigendecomposition instead.  Either way the
-    factor is truncated to the smallest rank whose dropped spectral mass
-    keeps the overall Frobenius budget, so its trailing directions stay
-    well above the accuracy floor.  Raises ``ValueError`` when the factor's
-    measured residual still exceeds delta: a delta below the floor that
-    the Nystrom shift (partial basis) or the rounding of the dense
-    eigendecomposition (full basis) sets cannot be met.
+    A basis that would pass ``_NYSTROM_MAX_FRACTION`` n, the oversample
+    counted, costs more than a dense eigendecomposition, so Sigma is
+    factored densely instead (:func:`_dense_factor`) once the next block
+    would take it there; no block past that point is drawn.  Either way the
+    factor is truncated by :func:`_truncation_rank`.  Raises ``ValueError``
+    when delta is not positive or the factor's measured residual still
+    exceeds delta: a delta below the floor that the Nystrom shift (partial
+    basis) or the rounding of the dense eigendecomposition sets cannot be
+    met.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_factor_inputs(Sigma, delta)
     if d_prob < 1:
         # 10^0 = 1 makes the quantile inf and the safety factor 0, so the
         # first block would certify any residual
         raise ValueError(f"d_prob must be >= 1, got {d_prob}")
-    if not np.isfinite(Sigma).all():
-        raise ValueError("Sigma must be finite")
     n = Sigma.shape[0]
-    # certify against delta/2 so the Nystrom reconstruction keeps slack;
-    # the square overflows a double past delta = 2.68e154
-    target2 = (delta / 2.0) ** 2 if delta < 2.68e154 else math.inf
+    # certify against delta/2 so the Nystrom reconstruction keeps slack
+    target2 = _half_delta2(delta)
     # mean of _N_PROBES one-probe estimators; worst-case (rank-1 residual)
     # lower tail is chi2(_N_PROBES)/_N_PROBES; its quantile is 2 P^-1(k/2, q)
     safety = _N_PROBES / (2 * _lower_gamma_inv(_N_PROBES // 2, 10.0 ** (-d_prob)))
@@ -197,15 +256,16 @@ def randomized_partial_eig(
     # Sigma.  A projected column below 1e-12 of it is rounding noise.
     scale = max(1.0, float(np.trace(Sigma)))
 
-    Q = np.empty((n, n))  # the basis is Q[:, :k]
+    cap = int(n * _NYSTROM_MAX_FRACTION)
+    Q = np.empty((n, cap))  # the basis is Q[:, :k]
     k = 0
 
     def extend(columns: int) -> int:
         """Add the new directions of Sigma G, G with ``columns`` Gaussian
-        columns, to the basis, as many as fit in n; return how many there
-        were.  Block Gram-Schmidt done twice keeps the basis orthonormal
-        when the projected block is mostly rounding error (Halko,
-        Martinsson & Tropp 2011, sec. 4.4)."""
+        columns, to the basis; return how many there were.  Block
+        Gram-Schmidt done twice keeps the basis orthonormal when the
+        projected block is mostly rounding error (Halko, Martinsson & Tropp
+        2011, sec. 4.4)."""
         nonlocal k
         Qk = Q[:, :k]
         Y = Sigma @ rng.standard_normal(size=(n, columns))
@@ -214,14 +274,17 @@ def randomized_partial_eig(
         Qb = Qb[:, np.abs(np.diag(Rb)) > 1e-12 * scale]
         Qb -= Qk @ (Qk.T @ Qb)
         Qb = np.linalg.qr(Qb)[0]
-        m = min(Qb.shape[1], n - k)
-        Q[:, k : k + m] = Qb[:, :m]
+        m = Qb.shape[1]
+        Q[:, k : k + m] = Qb
         k += m
-        return Qb.shape[1]
+        return m
 
-    # each block is as large as the basis, so rank k takes O(log k) rounds
-    full_rank = False
-    while extend(max(_BLOCK, k)) and k < n:
+    # each block is as large as the basis, so rank k takes O(log k) rounds;
+    # the loop ends on a certificate, on a block that adds no direction, or
+    # before a block that would take the basis and its oversample past the cap
+    while k + max(_BLOCK, k) + _OVERSAMPLE <= cap:
+        if not extend(max(_BLOCK, k)):
+            break
         W = rng.standard_normal(size=(n, _N_PROBES))
         R = Sigma @ W
         R -= Q[:, :k] @ (Q[:, :k].T @ R)
@@ -229,45 +292,22 @@ def randomized_partial_eig(
         if est_f2 * safety <= target2:
             extend(_OVERSAMPLE)
             break
-        if k + max(_BLOCK, k) >= n:
-            full_rank = True  # the next block would fill R^n: skip it
-            break
-    full_rank = full_rank or k == n
-
-    if full_rank:
-        # with Q square and orthogonal, the Nystrom step only rebuilds Sigma
-        vals, vecs = np.linalg.eigh(Sigma)
-        # descending, and copied: BLAS takes no negative column stride
-        Uf, lam = vecs[:, ::-1].copy(), np.clip(vals[::-1], 0.0, None)
-        floor = "the rounding of the dense eigendecomposition sets"
     else:
-        # Nystrom step with a tiny spectral shift for factorization stability
-        Q = Q[:, :k]
-        B1 = Sigma @ Q
-        shift = 1e-12 * scale
-        B2 = Q.T @ B1 + shift * np.eye(k)
-        C = np.linalg.cholesky(0.5 * (B2 + B2.T))
-        F = np.linalg.solve(C, B1.T).T  # B1 C^{-T}
-        Uf, s, _ = np.linalg.svd(F, full_matrices=False)
-        lam = np.clip(s * s - shift, 0.0, None)
-        floor = "the Nystrom shift 1e-12 tr(Sigma) sets"
+        return _dense_factor(Sigma, delta)
 
-    # truncate: ||Sigma - Sigma_m||_F <= ||Sigma - Sigma_r||_F + sqrt(sum
-    # of dropped lam^2), so dropping tail mass up to delta/2 keeps the
-    # total within delta
-    tail2 = np.cumsum(lam[::-1] ** 2)[::-1]  # tail2[i] = sum_{j >= i} lam_j^2
-    cut = np.searchsorted(-tail2, -target2)  # first i with tail2[i] <= target2
-    m = max(int(cut), 1)
-    Uf, lam = Uf[:, :m], lam[:m]
-
-    resid = Sigma - (Uf * lam) @ Uf.T
-    resid_fro = float(np.linalg.norm(resid))
-    if resid_fro > delta:
-        raise ValueError(
-            f"the rank-{m} factor (n = {n}) misses delta = {delta:.3e}: "
-            f"||Sigma - U Lambda U'||_F = {resid_fro:.3e}; {floor} a floor near that"
-        )
-    return LowRankFactor(Uf, lam, delta, resid_fro, full_rank)
+    # Nystrom step with a tiny spectral shift for factorization stability
+    Q = Q[:, :k]
+    B1 = Sigma @ Q
+    shift = 1e-12 * scale
+    B2 = Q.T @ B1 + shift * np.eye(k)
+    C = np.linalg.cholesky(0.5 * (B2 + B2.T))
+    F = np.linalg.solve(C, B1.T).T  # B1 C^{-T}
+    Uf, s, _ = np.linalg.svd(F, full_matrices=False)
+    lam = np.clip(s * s - shift, 0.0, None)
+    m = _truncation_rank(lam, delta)
+    return _checked_factor(
+        Sigma, Uf[:, :m], lam[:m], delta, False, "the Nystrom shift 1e-12 tr(Sigma) sets"
+    )
 
 
 def eig_accuracy_metrics(
@@ -492,15 +532,26 @@ def delta_for_epsilon(
 
 class GPSampler:
     """Precomputes one factor per phi-grid point, then runs the marginal
-    chain with burn-in-only Robbins-Monro adaptation of the proposal."""
+    chain with burn-in-only Robbins-Monro adaptation of the proposal.
+
+    The factors are built in grid order, and once one is dense every later
+    one is factored densely at once, with no range finder and no variates.
+    Sigma(phi') is Sigma(phi) times, entry by entry, the correlation matrix
+    exp(-(phi' - phi) D^2), so its spectrum is flatter (that of a Schur
+    product with a correlation matrix is majorized by the other factor's),
+    and its rank at delta tends to be higher.  A wrong guess costs time
+    only: a dense factor meets delta whenever any factor can."""
 
     def __init__(self, rng: SeededRng, model: GPModel, delta: float, d_prob: int = 3):
         self.model = model
         self.delta = delta
-        self.factors = [
-            randomized_partial_eig(rng, se_covariance(model.X, phi), delta, d_prob)
-            for phi in model.phi_grid
-        ]
+        self.factors: list[LowRankFactor] = []
+        for phi in model.phi_grid:
+            Sigma = se_covariance(model.X, phi)
+            if self.factors and self.factors[-1].full_rank:
+                self.factors.append(_dense_factor(Sigma, delta))
+            else:
+                self.factors.append(randomized_partial_eig(rng, Sigma, delta, d_prob))
 
     @property
     def mean_rank(self) -> float:
@@ -620,16 +671,16 @@ def simulate_gp(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Synthetic draw (X, f, y) from the model; grid design is 1-d
     equispaced on [0, 1], normal design is i.i.d. standard normal in q
-    dims."""
+    dims.  f is drawn by :func:`sample_mvn`: on a Cholesky root where
+    Sigma(phi) is numerically positive definite (the normal design at
+    moderate phi), else on its eigendecomposition (the grid design, whose
+    Sigma is numerically singular)."""
     if design == "grid":
         X = np.linspace(0.0, 1.0, n)[:, None]
     elif design == "normal":
         X = rng.standard_normal(size=(n, q))
     else:
         raise ValueError("design must be 'grid' or 'normal'")
-    Sigma = se_covariance(X, phi)
-    vals, vecs = np.linalg.eigh(Sigma)
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    f = math.sqrt(tau2) * (root @ rng.standard_normal(size=n))
+    f = math.sqrt(tau2) * sample_mvn(rng, np.zeros(n), se_covariance(X, phi))
     y = f + math.sqrt(sigma2) * rng.standard_normal(size=n)
     return X, f, y

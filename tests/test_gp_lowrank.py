@@ -26,7 +26,16 @@ from amcmc.gp_lowrank import (
     se_covariance,
     simulate_gp,
 )
-from amcmc.gp_lowrank import _PRIOR_A, _PRIOR_B, _PROP_SCALE, _TARGET_ACCEPT, _loglik, _stack
+from amcmc.gp_lowrank import (
+    _NYSTROM_MAX_FRACTION,
+    _PRIOR_A,
+    _PRIOR_B,
+    _PROP_SCALE,
+    _TARGET_ACCEPT,
+    _dense_factor,
+    _loglik,
+    _stack,
+)
 
 
 def test_se_covariance_basics():
@@ -105,17 +114,119 @@ def test_range_finder_keeps_its_basis_orthonormal(phi, optimum):
 
 def test_range_finder_takes_the_nystrom_step_at_mid_rank():
     """Normal design, n = 1000, delta = 0.1: the Eckart-Young ranks for
-    delta and delta/2 (146 and 181) are well below n/2, so the doubling
-    basis is certified before a block could fill R^n, and the factor
-    comes from the Nystrom step on a partial basis."""
+    delta and delta/2 are 146 and 181.  The doubling basis of 256 columns
+    is not yet certified, and its next block would take it past n/3, where
+    a Nystrom step costs more than a dense eigendecomposition, so S is
+    factored densely: at the Eckart-Young rank for delta/2, within the
+    bounds the Nystrom factor met on 522 columns."""
     X, _, _ = simulate_gp(SeededRng(7, 0), 1000, 6, 0.1, 0.25, 1.0, "normal")
     S = se_covariance(X, 0.05)
     fac = randomized_partial_eig(SeededRng(7, 1), S, 0.1)
-    assert not fac.full_rank
+    assert fac.full_rank
     assert np.linalg.norm(S - (fac.U * fac.lam) @ fac.U.T) <= 0.1
     assert np.abs(fac.U.T @ fac.U - np.eye(fac.r)).max() <= 1e-12
     vals = np.linalg.eigvalsh(S)[::-1]
     assert _eckart_young_rank(vals, 0.1) <= fac.r <= _eckart_young_rank(vals, 0.05)
+
+
+def test_range_finder_keeps_a_mid_rank_basis_within_n_over_3():
+    """Normal design (seed 501), n = 1000, phi = 0.025, delta = 0.1: the
+    basis is certified at 256 columns, 266 with the oversample, within
+    n/3, so the rank-83 factor comes from the Nystrom step."""
+    X, _, _ = simulate_gp(SeededRng(501, 0), 1000, 6, 0.1, 0.25, 1.0, "normal")
+    S = se_covariance(X, 0.025)
+    fac = randomized_partial_eig(SeededRng(1, 2), S, 0.1)
+    assert not fac.full_rank
+    assert fac.r == 83
+    assert np.linalg.norm(S - (fac.U * fac.lam) @ fac.U.T) <= 0.1
+    assert np.abs(fac.U.T @ fac.U - np.eye(fac.r)).max() <= 1e-12
+    vals = np.linalg.eigvalsh(S)[::-1]
+    assert _eckart_young_rank(vals, 0.1) <= fac.r <= _eckart_young_rank(vals, 0.05)
+
+
+class _DrawLog:
+    """A generator that records the columns of each normal block drawn.
+    The range finder draws a basis block, then a probe block, in turn, and
+    after a certificate one more basis block (the oversample), so the
+    basis is the sum of the even-numbered entries."""
+
+    def __init__(self, rng):
+        self.rng, self.columns = rng, []
+
+    def standard_normal(self, size):
+        self.columns.append(size[1])
+        return self.rng.standard_normal(size=size)
+
+    @property
+    def basis(self) -> int:
+        return sum(self.columns[0::2])
+
+
+@pytest.mark.parametrize(
+    "n, phi, delta, full_rank",
+    [
+        (1000, 0.025, 0.1, False),
+        (1000, 0.05, 0.1, True),
+        (500, 0.025, 0.1, False),
+        (500, 0.1, 1.0, True),
+        (500, 0.1, 1e-6, True),
+        (200, 0.1, 1e-3, True),
+        (60, 0.5, 0.1, True),
+        (40, 0.1, 1.0, True),
+    ],
+)
+def test_range_finder_basis_never_exceeds_n_over_3(n, phi, delta, full_rank):
+    """Normal design (seed 501, q = 6): the columns drawn into the basis,
+    the oversample included, stay within n/3, and a factor whose basis
+    would pass it is dense.  Below n = 54 even the first block and its
+    oversample would, so nothing is drawn."""
+    X, _, _ = simulate_gp(SeededRng(501, 0), n, 6, 0.1, 0.25, 1.0, "normal")
+    S = se_covariance(X, phi)
+    log = _DrawLog(SeededRng(1, 2))
+    fac = randomized_partial_eig(log, S, delta)
+    assert fac.full_rank == full_rank
+    assert log.basis <= n * _NYSTROM_MAX_FRACTION
+    assert (log.columns == []) == (n < 54)
+    assert fac.resid_fro <= delta
+
+
+@pytest.mark.parametrize("n, phi, delta", [(500, 0.1, 1.0), (500, 0.1, 1e-6), (40, 0.1, 1.0)])
+def test_dense_factor_is_the_dense_branch_of_the_range_finder(n, phi, delta):
+    """Byte for byte: the range finder's dense branch is ``_dense_factor``,
+    whether a block was drawn first (n = 500) or none (n = 40)."""
+    X, _, _ = simulate_gp(SeededRng(501, 0), n, 6, 0.1, 0.25, 1.0, "normal")
+    S = se_covariance(X, phi)
+    got = randomized_partial_eig(SeededRng(1, 2), S, delta)
+    want = _dense_factor(S, delta)
+    assert got.full_rank and want.full_rank
+    assert got.U.tobytes() == want.U.tobytes()
+    assert got.lam.tobytes() == want.lam.tobytes()
+    assert got.resid_fro == want.resid_fro
+    # only the kept columns are held
+    assert want.U.shape == (n, want.r) and want.U.flags.c_contiguous
+
+
+def test_sampler_factors_after_a_dense_one_draw_nothing():
+    """Normal design, n = 150, phi grid (0.003, 0.01, 0.03, 0.1), delta =
+    0.1: the first two factors come from the Nystrom step and the third
+    reaches the cap.  The fourth is ``_dense_factor`` of its Sigma, byte for
+    byte, and the sampler's generator ends where the first three factors
+    left it."""
+    X, _, y = simulate_gp(SeededRng(0, 0), 150, 6, 0.1, 0.25, 1.0, "normal")
+    grid = np.array([0.003, 0.01, 0.03, 0.1])
+    rng = SeededRng(0, 1)
+    sampler = GPSampler(rng, GPModel(X, y, grid), 0.1)
+    assert [f.full_rank for f in sampler.factors] == [False, False, True, True]
+    replay = SeededRng(0, 1)
+    for phi, f in zip(grid[:3], sampler.factors):
+        want = randomized_partial_eig(replay, se_covariance(X, phi), 0.1)
+        assert f.U.tobytes() == want.U.tobytes()
+    # Philox's state holds arrays, which == compares elementwise
+    assert repr(rng.bit_generator.state) == repr(replay.bit_generator.state)
+    want = _dense_factor(se_covariance(X, grid[3]), 0.1)
+    got = sampler.factors[3]
+    assert got.U.tobytes() == want.U.tobytes() and got.lam.tobytes() == want.lam.tobytes()
+    assert got.resid_fro == want.resid_fro and got.full_rank
 
 
 @pytest.mark.parametrize(
@@ -123,9 +234,9 @@ def test_range_finder_takes_the_nystrom_step_at_mid_rank():
     [(500, 6, 0.025, 1e-6), (500, 6, 0.1, 1e-6), (200, 5, 0.1, 1e-3)],
 )
 def test_full_basis_factor_is_the_truncated_dense_eigendecomposition(n, q, phi, delta):
-    """A basis that fills R^n (or whose next block would) is replaced by the
-    dense eigendecomposition of S, truncated to the least rank whose
-    dropped tail is within delta/2."""
+    """A basis whose next block would pass n/3 is replaced by the dense
+    eigendecomposition of S, truncated to the least rank whose dropped tail
+    is within delta/2."""
     X, _, _ = simulate_gp(SeededRng(501, 0), n, q, phi, 0.25, 1.0, "normal")
     S = se_covariance(X, phi)
     fac = randomized_partial_eig(SeededRng(1), S, delta)
@@ -150,8 +261,8 @@ def test_range_finder_stops_when_a_block_adds_no_direction():
 
 
 def test_factor_below_its_floor_is_refused():
-    """At n = 500 (normal design, q = 6) the basis fills R^n and the dense
-    eigendecomposition holds the residual near 3.1e-13: delta = 1e-10 is
+    """At n = 500 (normal design, q = 6) the basis would pass n/3 and the
+    dense eigendecomposition holds the residual near 3.1e-13: delta = 1e-10 is
     met (the Nystrom shift held it near 2.2e-8), and delta = 1e-14 cannot
     be met, so no factor is returned.  delta = 1e-6 is met and returned."""
     X, _, _ = simulate_gp(SeededRng(501, 0), 500, 6, 0.1, 0.25, 1.0, "normal")
@@ -169,6 +280,19 @@ def test_factor_below_its_floor_is_refused():
 def test_factor_rejects_bad_delta():
     with pytest.raises(ValueError):
         randomized_partial_eig(SeededRng(0), np.eye(4), 0.0)
+
+
+@pytest.mark.parametrize("delta", [math.nan, -math.inf, -1.0])
+def test_factor_rejects_a_delta_that_is_not_positive(delta):
+    """A NaN delta passed a ``delta <= 0`` test, and no residual exceeds
+    NaN: at n = 60 (normal design, q = 2, phi = 0.5) a rank-1 factor with
+    residual 14.8 came back.  Both branches refuse it."""
+    X, _, _ = simulate_gp(SeededRng(3, 0), 60, 2, 0.5, 0.25, 1.0, "normal")
+    S = se_covariance(X, 0.5)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        randomized_partial_eig(SeededRng(0), S, delta)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        _dense_factor(S, delta)
 
 
 def test_factor_of_a_non_finite_matrix_is_refused():
@@ -557,6 +681,39 @@ def test_model_validation():
         GPModel(X, np.zeros(10), np.array([2.0, 1.0]))  # not increasing
     with pytest.raises(ValueError):
         GPModel(X, np.zeros(10), np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n, phi, cholesky", [(5, 20.0, True), (20, 5.0, False)])
+def test_simulated_f_has_its_law_on_both_roots(n, phi, cholesky):
+    """f ~ N(0, tau^2 Sigma) on the grid design, by sample moments of 10^4
+    draws: at n = 5, phi = 20 Sigma is positive definite and the Cholesky
+    root draws f; at n = 20, phi = 5 Cholesky fails and the
+    eigendecomposition does."""
+    X = np.linspace(0.0, 1.0, n)[:, None]
+    S = se_covariance(X, phi)
+    if cholesky:
+        np.linalg.cholesky(S)
+    else:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+    rng = SeededRng(31)
+    F = np.array([simulate_gp(rng, n, 1, phi, 0.25, 2.0, "grid")[1] for _ in range(10_000)])
+    # standard errors near 0.014 for the mean and 0.028 for the covariance
+    assert np.abs(F.mean(axis=0)).max() <= 0.07
+    assert np.abs(F.T @ F / len(F) - 2.0 * S).max() <= 0.14
+
+
+def test_simulated_f_on_the_default_grid_design_keeps_its_eigh_root():
+    """The CLI's default data (n = 200, phi = 20, grid design): Sigma is
+    numerically singular, so f is drawn on its eigendecomposition, with
+    the bytes of the symmetric root applied to the same normals."""
+    S = se_covariance(np.linspace(0.0, 1.0, 200)[:, None], 20.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(S)
+    _, f, _ = simulate_gp(SeededRng(0, 0), 200, 1, 20.0, 0.25, 1.0, "grid")
+    vals, vecs = np.linalg.eigh(S)
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    assert f.tobytes() == (root @ SeededRng(0, 0).standard_normal(size=200)).tobytes()
 
 
 # ---------------------------------------------------------------------------
