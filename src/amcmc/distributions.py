@@ -115,16 +115,26 @@ def sample_mvn(rng: SeededRng, mean, covariance) -> np.ndarray:
     return mean + root @ rng.standard_normal(size=len(mean))
 
 
-def sample_discrete(rng: SeededRng, probs) -> int:
-    """Inverse-CDF draw of an index from a vector of weights, normalized by
-    their sum."""
+def _discrete_cdf(probs) -> np.ndarray:
+    """The CDF of a vector of weights, normalized by their sum."""
     p = np.asarray(probs, dtype=np.float64)
     total = p.sum()
     # a NaN fails both tests, and an infinite weight makes the total infinite
     if not (p.size and p.min() >= 0.0 and 0.0 < total < math.inf):
         raise ValueError("probs must be finite and nonnegative, with a positive finite sum")
-    cdf = np.cumsum(p / total)
-    return min(int(np.searchsorted(cdf, rng.uniform(), side="right")), len(p) - 1)
+    return np.cumsum(p / total)
+
+
+def _cdf_draw(rng: SeededRng, cdf: np.ndarray) -> int:
+    """Inverse-CDF draw of an index: one uniform, located in ``cdf``.
+    ``random()`` is ``uniform()`` on [0, 1): the same double, drawn faster."""
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+
+
+def sample_discrete(rng: SeededRng, probs) -> int:
+    """Inverse-CDF draw of an index from a vector of weights, normalized by
+    their sum."""
+    return _cdf_draw(rng, _discrete_cdf(probs))
 
 
 def polya_gamma_mean(c: float) -> float:

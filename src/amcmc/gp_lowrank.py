@@ -13,14 +13,19 @@ The conditional law of f is implemented exactly as the source model
 specifies it: f | y, theta ~ N(Psi y, Psi) with
 Psi = (tau^2 Sigma_eps + sigma^2 I)^{-1}.
 
-A sweep evaluates the likelihood over the whole phi grid once, at the
-proposed variances; the MH ratio and the phi weights read that vector and
-the one kept from the last sweep.  The chain's predictive mean averages one
-draw of f per kept sweep.  Given the trace those draws are independent, so
-after the loop their sum on each factor is drawn from its own Gaussian law,
-one normal n-vector per factor that holds a kept sweep.  One function,
-``_gaussian_rows``, draws every such law N(P y, P) on a factor: one sweep's,
-the chain's sums, and at z = 0 the predictive mean.
+The chain stacks the phi grid's spectra once, unpadded, so a sweep costs
+what the factors' ranks do.  The MH ratio reads one row of the likelihood,
+the current phi's at the proposed variances, against that row of the
+vector kept from the last accepted sweep.  The whole grid, and the CDF of
+the phi weights it gives, are evaluated again only when the proposal is
+accepted; a rejected sweep draws phi from the kept CDF.
+
+The chain's predictive mean averages one draw of f per kept sweep.  Given
+the trace those draws are independent, so after the loop their sum on each
+factor is drawn from its own Gaussian law, one normal n-vector per factor
+that holds a kept sweep.  One function, ``_gaussian_rows``, draws every
+such law N(P y, P) on a factor: one sweep's, the chain's sums, and at
+z = 0 the predictive mean.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SeededRng, sample_discrete, sample_mvn
+from .distributions import SeededRng, _cdf_draw, _discrete_cdf, sample_mvn
 
 __all__ = [
     "GPModel",
@@ -347,27 +352,52 @@ def eig_accuracy_metrics(
 
 def _stack(
     y: np.ndarray, factors: list[LowRankFactor]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All the likelihood needs of y and the factors, as zero-padded
-    (factors x largest rank) arrays: each factor's spectrum ``lam`` and its
-    U'y ``y_u``, and the vector ``resid2`` of y'y - |U'y|^2.  A padded entry
-    (lam = 0, U'y = 0) weighs in :func:`_loglik` as a direction off U does."""
-    lam = np.zeros((len(factors), max(f.r for f in factors)))
-    y_u = np.zeros_like(lam)
-    for k, f in enumerate(factors):
-        lam[k, : f.r] = f.lam
-        y_u[k, : f.r] = f.U.T @ y
-    return lam, y_u, float(y @ y) - np.einsum("ij,ij->i", y_u, y_u)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All the likelihood needs of y and the factors, their spectra laid end
+    to end with no padding: ``lam``, every factor's spectrum, and ``y_u2``,
+    its (U'y)^2, each of sum(r_k) entries; the offset ``starts`` and the
+    rank ``ranks`` of each factor's segment; and the vector ``resid2`` of
+    y'y - |U'y|^2.  Every segment holds at least one entry, as every factor
+    of :func:`_truncation_rank` does: an empty one would make
+    ``np.add.reduceat`` in :func:`_loglik` read the next segment's first
+    entry."""
+    ranks = np.array([f.r for f in factors])
+    if ranks.min() < 1:
+        raise ValueError(f"every factor needs rank >= 1, got ranks {ranks.tolist()}")
+    starts = np.concatenate(([0], np.cumsum(ranks[:-1])))
+    y_u = np.concatenate([f.U.T @ y for f in factors])
+    y_u2 = y_u * y_u
+    lam = np.concatenate([f.lam for f in factors])
+    return lam, y_u2, starts, ranks, float(y @ y) - np.add.reduceat(y_u2, starts)
 
 
-def _loglik(n: int, lam, y_u, resid2, sigma2: float, tau2: float):
+#: The segment offsets of a one-row stack.
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+def _loglik(
+    n: int, lam, y_u2, starts, ranks, resid2, sigma2: float, tau2: float, row: int | None = None
+):
     """Gaussian marginal log-likelihood of an n-vector y under covariance
     tau^2 U diag(lam) U' + sigma^2 I, by the eigen-identity (Rasmussen &
-    Williams 2006, sec. 2.3), over the trailing axis of ``lam`` and ``y_u``:
-    one value per row of :func:`_stack`'s arrays, or one for a row."""
-    d = tau2 * lam + sigma2
-    logdet = np.log(d).sum(axis=-1) + (n - lam.shape[-1]) * math.log(sigma2)
-    quad = (y_u * y_u / d).sum(axis=-1) + resid2 / sigma2
+    Williams 2006, sec. 2.3), on a :func:`_stack`: one value per factor, in
+    one ``np.add.reduceat`` pass over every entry, or with ``row`` = k the
+    value of factor k alone, from its r_k entries.  The row is the same
+    arithmetic on the same numbers, so it is bit for bit that entry of the
+    whole grid's vector.  The n - r directions off U add log sigma^2 each to
+    the log-determinant."""
+    if row is None:
+        d = tau2 * lam + sigma2
+        sum_log = np.add.reduceat(np.log(d), starts)
+        sum_quad = np.add.reduceat(y_u2 / d, starts)
+    else:
+        a, b = starts[row], starts[row] + ranks[row]
+        d = tau2 * lam[a:b] + sigma2
+        sum_log = float(np.add.reduceat(np.log(d), _ONE_ROW)[0])
+        sum_quad = float(np.add.reduceat(y_u2[a:b] / d, _ONE_ROW)[0])
+        ranks, resid2 = int(ranks[row]), float(resid2[row])
+    logdet = sum_log + (n - ranks) * math.log(sigma2)
+    quad = sum_quad + resid2 / sigma2
     return -0.5 * (n * _LOG_2PI + logdet + quad)
 
 
@@ -401,44 +431,56 @@ def _log_prior_logscale(x: float) -> float:
     return -_PRIOR_A * x - _PRIOR_B * math.exp(-x)
 
 
+def _phi_cdf(loglik: np.ndarray) -> np.ndarray:
+    """The CDF of the phi weights exp(loglik), checked and normalized by
+    the helper of :func:`sample_discrete`."""
+    w = np.exp(loglik - loglik.max())
+    return _discrete_cdf(w / w.sum())
+
+
+def _kept(n: int, grid: tuple, sigma2: float, tau2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The likelihood at every phi and (sigma2, tau2), and its phi CDF."""
+    loglik = _loglik(n, *grid, sigma2, tau2)
+    return loglik, _phi_cdf(loglik)
+
+
 def mh_griddy_step(
     rng: SeededRng,
     state: GPState,
     model: GPModel,
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray],
+    grid: tuple,
     prop_scale: float,
-    loglik: np.ndarray | None = None,
-) -> tuple[GPState, bool, np.ndarray]:
+    kept: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[GPState, bool, tuple[np.ndarray, np.ndarray]]:
     """One joint random-walk MH update of (log sigma^2, log tau^2) followed
     by a griddy-Gibbs draw of phi from its exact discrete conditional.
     ``grid`` is ``_stack(model.y, factors)`` of the phi grid's factors,
-    formed once for the chain, and ``loglik`` the likelihood at every phi
-    and ``state``'s variances, as the last step returned it (None
-    evaluates it).  The step evaluates the grid once, at the proposal: the
-    MH ratio reads the current phi's row of both vectors, and the phi
-    weights come from the vector of the variances it keeps.  Returns the
-    new state, whether the proposal was accepted, and that vector."""
-    if loglik is None:
-        loglik = _loglik(model.n, *grid, state.sigma2, state.tau2)
+    formed once for the chain, and ``kept`` the pair that the last step
+    returned (None evaluates it): the likelihood at every phi and
+    ``state``'s variances, and the CDF of the phi weights.  The MH ratio
+    reads one row, the current phi's, evaluated at the proposal.  Only an
+    accepted proposal evaluates the grid and builds a new CDF; a rejected
+    one draws phi from the kept CDF.  Returns the new state, whether the
+    proposal was accepted, and the pair at the variances it keeps."""
+    if kept is None:
+        kept = _kept(model.n, grid, state.sigma2, state.tau2)
     k = state.phi_index
     x = math.log(state.sigma2)
     z = math.log(state.tau2)
-    step = prop_scale * rng.standard_normal(size=2)
-    x_new, z_new = x + step[0], z + step[1]
+    e_x, e_z = rng.standard_normal(size=2).tolist()
+    x_new, z_new = x + prop_scale * e_x, z + prop_scale * e_z
     sigma2, tau2 = math.exp(x_new), math.exp(z_new)
-    proposed = _loglik(model.n, *grid, sigma2, tau2)
+    proposed = _loglik(model.n, *grid, sigma2, tau2, row=k)
     log_alpha = (
-        proposed[k] + _log_prior_logscale(x_new) + _log_prior_logscale(z_new)
-    ) - (loglik[k] + _log_prior_logscale(x) + _log_prior_logscale(z))
-    accepted = math.log(rng.uniform()) < log_alpha
+        proposed + _log_prior_logscale(x_new) + _log_prior_logscale(z_new)
+    ) - (float(kept[0][k]) + _log_prior_logscale(x) + _log_prior_logscale(z))
+    # random() is the unit uniform() on the same double, and cheaper
+    accepted = math.log(rng.random()) < log_alpha
     if accepted:
-        loglik = proposed
+        kept = _kept(model.n, grid, sigma2, tau2)
     else:
         sigma2, tau2 = state.sigma2, state.tau2
-
-    w = np.exp(loglik - loglik.max())
-    phi_index = sample_discrete(rng, w / w.sum())
-    return GPState(sigma2, tau2, phi_index), accepted, loglik
+    return GPState(sigma2, tau2, _cdf_draw(rng, kept[1])), accepted, kept
 
 
 def _gaussian_rows(
@@ -570,9 +612,9 @@ class GPSampler:
         trace = np.empty((steps, 3))
         # y and the factors are fixed for the chain: stack them once
         grid = _stack(self.model.y, self.factors)
-        loglik = None
+        kept = None
         for i in range(burn_in + steps):
-            state, accepted, loglik = mh_griddy_step(rng, state, self.model, grid, scale, loglik)
+            state, accepted, kept = mh_griddy_step(rng, state, self.model, grid, scale, kept)
             if i < burn_in:
                 # Robbins-Monro on the log proposal scale, burn-in only
                 scale = math.exp(

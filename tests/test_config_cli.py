@@ -745,6 +745,32 @@ SUBCOMMAND_ARGV = {
 }
 
 
+@pytest.mark.parametrize("name", list(SAMPLER_ARGV))
+def test_cli_sampler_runs_without_numpy_ma(tmp_path, name):
+    """``np.median`` and ``np.percentile`` import numpy.ma on their first
+    call, 9-15 ms in a fresh process; no sampler subcommand loads it."""
+    code = "import sys; from amcmc.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    proc = _fresh_python(code, name, *SAMPLER_ARGV[name], "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def test_cli_median_is_numpy_median():
+    """The summaries' median against ``np.median``, to the bit: odd and
+    even lengths, ties, a NaN anywhere, and an empty array."""
+    from amcmc.cli import _median
+
+    rng = np.random.default_rng(34)
+    cases = [rng.normal(size=m) * 10.0 ** rng.integers(-5, 5) for m in range(1, 40)]
+    cases += [np.array([1.0, 1.0, 2.0, 2.0]), np.array([3.0, np.nan, 1.0]), np.array([np.nan, 2.0])]
+    for x in cases:
+        want = float(np.median(x))
+        got = _median(x)
+        assert type(got) is float
+        assert np.isnan(got) if np.isnan(want) else got == want
+    assert np.isnan(_median(np.array([])))
+
+
 @pytest.mark.parametrize("name", list(SUBCOMMAND_ARGV))
 def test_cli_subcommand_runs_with_scipy_blocked(tmp_path, name):
     """The program needs numpy alone: with ``import scipy`` made to fail

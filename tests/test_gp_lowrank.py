@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from amcmc import gp_lowrank
-from amcmc.distributions import SeededRng, sample_discrete
+from amcmc.distributions import SeededRng, _cdf_draw, sample_discrete
 from amcmc.gp_lowrank import (
     GPModel,
     GPSampler,
@@ -350,9 +350,9 @@ def test_loglik_identity_low_rank():
 
 
 def test_stacked_loglik_matches_the_dense_likelihood_of_each_factor():
-    """Factors of unequal rank, one truncated on the ``eigh`` branch, padded
-    to the largest rank: every row of the stacked log-likelihood is the
-    dense likelihood of its own factored covariance."""
+    """Factors of unequal rank, one truncated on the ``eigh`` branch, laid
+    end to end: every row of the stacked log-likelihood is the dense
+    likelihood of its own factored covariance."""
     rng = SeededRng(26)
     X, _, y = simulate_gp(rng, 40, 1, 100.0, 0.2, 1.0, "grid")
     factors = [
@@ -555,10 +555,10 @@ def _dense_replay(sampler, rng, steps, burn_in):
     from ``eigh`` of P, applied to the normals the chain draws for it after
     the loop."""
     grid = _stack(sampler.model.y, sampler.factors)
-    state, scale, loglik = GPState(1.0, 1.0, len(sampler.factors) // 2), _PROP_SCALE, None
+    state, scale, kept = GPState(1.0, 1.0, len(sampler.factors) // 2), _PROP_SCALE, None
     trace = []
     for i in range(burn_in + steps):
-        state, accepted, loglik = mh_griddy_step(rng, state, sampler.model, grid, scale, loglik)
+        state, accepted, kept = mh_griddy_step(rng, state, sampler.model, grid, scale, kept)
         if i < burn_in:
             scale = math.exp(
                 math.log(scale)
@@ -659,13 +659,114 @@ def test_mh_griddy_step_returns_valid_state():
     state = GPState(1.0, 1.0, 2)
     rng = SeededRng(17)
     grid = _stack(s.model.y, s.factors)
-    loglik = None
+    kept = None
     for _ in range(20):
-        state, accepted, loglik = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE, loglik)
+        state, accepted, kept = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE, kept)
         assert isinstance(accepted, bool) or accepted in (True, False)
         assert 0 <= state.phi_index < len(s.factors)
         # the returned grid likelihood is that of the new variances
-        assert loglik.tobytes() == _loglik(s.model.n, *grid, state.sigma2, state.tau2).tobytes()
+        assert kept[0].tobytes() == _loglik(s.model.n, *grid, state.sigma2, state.tau2).tobytes()
+
+
+def test_mh_griddy_step_evaluates_the_grid_only_on_acceptance(monkeypatch):
+    """A rejected sweep evaluates the likelihood on one row, the current
+    phi's, and builds no CDF; an accepted one adds one grid evaluation and
+    one CDF build, at the variances it keeps."""
+    s = _toy_sampler(16)
+    grid = _stack(s.model.y, s.factors)
+    calls = []
+    loglik, discrete_cdf = gp_lowrank._loglik, gp_lowrank._discrete_cdf
+
+    def counted_loglik(*args, row=None):
+        calls.append(("row", row) if row is not None else ("grid", args[-2:]))
+        return loglik(*args, row=row)
+
+    def counted_cdf(p):
+        calls.append(("cdf",))
+        return discrete_cdf(p)
+
+    monkeypatch.setattr(gp_lowrank, "_loglik", counted_loglik)
+    monkeypatch.setattr(gp_lowrank, "_discrete_cdf", counted_cdf)
+    rng, state = SeededRng(17), GPState(1.0, 1.0, 2)
+    state, _, kept = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE)
+    outcomes = []
+    for _ in range(60):
+        calls.clear()
+        k = state.phi_index
+        state, accepted, new_kept = mh_griddy_step(rng, state, s.model, grid, _PROP_SCALE, kept)
+        if accepted:
+            assert calls == [("row", k), ("grid", (state.sigma2, state.tau2)), ("cdf",)]
+        else:
+            assert calls == [("row", k)]
+            assert new_kept is kept
+        kept = new_kept
+        outcomes.append(bool(accepted))
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_ragged_stack_rows_match_the_dense_likelihood_of_each_factor():
+    """Factors of ranks 1, 5, 2 and 9 laid end to end: each row of one
+    grid evaluation is the dense likelihood of its own factored covariance,
+    and the one-row evaluation is bit for bit that row."""
+    rng = np.random.default_rng(29)
+    n = 30
+    y = rng.normal(size=n)
+    factors = []
+    for r in (1, 5, 2, 9):
+        U = np.linalg.qr(rng.normal(size=(n, r)))[0]
+        factors.append(LowRankFactor(U, np.sort(rng.uniform(0.1, 4.0, size=r))[::-1], 0.0, 0.0))
+    lam, y_u2, starts, ranks, resid2 = grid = _stack(y, factors)
+    assert ranks.tolist() == [1, 5, 2, 9] and starts.tolist() == [0, 1, 6, 8]
+    assert len(lam) == len(y_u2) == 17
+    for s2, t2 in ((0.2, 1.3), (0.01, 4.0), (3.0, 0.5)):
+        got = _loglik(n, *grid, s2, t2)
+        for k, f in enumerate(factors):
+            S_eps = (f.U * f.lam) @ f.U.T
+            assert got[k] == pytest.approx(marginal_loglik_dense(y, S_eps, s2, t2), abs=1e-9)
+            assert _loglik(n, *grid, s2, t2, row=k) == got[k]
+
+
+def test_one_row_is_bit_for_bit_its_row_of_the_grid():
+    """The MH ratio's one-row evaluation against the grid vector kept from
+    an earlier sweep: equal to the last bit on dense factors of ranks 54,
+    166 and 290 (n = 300, normal design) over 300 variance pairs."""
+    n = 300
+    X, _, y = simulate_gp(SeededRng(30, 0), n, 6, 0.1, 0.25, 1.0, "normal")
+    grid = _stack(y, [_dense_factor(se_covariance(X, phi), 0.1) for phi in (0.025, 0.1, 0.4)])
+    assert grid[3].tolist() == [54, 166, 290]
+    rng = np.random.default_rng(31)
+    for s2, t2 in np.exp(rng.normal(scale=2.0, size=(300, 2))):
+        got = _loglik(n, *grid, s2, t2)
+        assert [_loglik(n, *grid, s2, t2, row=k) for k in range(3)] == got.tolist()
+
+
+def test_stack_refuses_a_factor_of_rank_zero():
+    """``np.add.reduceat`` reads an empty segment as the next one's first
+    entry, so a rank-0 factor is refused, not summed wrongly."""
+    y = np.ones(4)
+    factors = [LowRankFactor(np.eye(4)[:, :2], np.ones(2), 0.0, 0.0),
+               LowRankFactor(np.zeros((4, 0)), np.zeros(0), 0.0, 0.0)]
+    with pytest.raises(ValueError, match="rank >= 1"):
+        _stack(y, factors)
+
+
+def test_cached_cdf_draw_is_sample_discrete():
+    """The phi draw from the CDF that the step keeps and ``sample_discrete``
+    of the same weights give the same index from the same generator state,
+    and leave the generator in the same place.  Both also match the draw
+    written out with ``uniform()``: ``random()`` is the same double."""
+    rng = np.random.default_rng(32)
+    for size in (1, 2, 5, 12):
+        for _ in range(20):
+            loglik = rng.normal(scale=rng.choice([0.1, 3.0, 300.0]), size=size)
+            cdf = gp_lowrank._phi_cdf(loglik)
+            w = np.exp(loglik - loglik.max())
+            p = w / w.sum()
+            a, b, c = SeededRng(33, size), SeededRng(33, size), SeededRng(33, size)
+            for _ in range(50):
+                want = min(int(np.searchsorted(np.cumsum(p / p.sum()), c.uniform(), side="right")), size - 1)
+                assert _cdf_draw(a, cdf) == sample_discrete(b, p) == want
+            assert a.random() == b.random() == c.random()
 
 
 def test_gpstate_validation():
