@@ -49,7 +49,6 @@ __all__ = [
     "gibbs_step_approx",
     "approx_multinomial_draw",
     "tv_multinomial_vs_rounded_gaussian",
-    "gaussnmin_threshold",
     "simulate_contingency",
     "cell_probability",
 ]
@@ -96,11 +95,8 @@ class ContingencyData:
         if np.any((counts <= 0) | (counts != np.rint(counts))):
             raise ValueError("cell counts must be positive integers")
         index = index.astype(np.int64).reshape(len(keys), self.p)
-        self._set(index, counts.astype(np.int64), keys)
-
-    def _set(self, index: np.ndarray, counts: np.ndarray, keys: list[Cell]) -> None:
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", counts.astype(np.int64))
         object.__setattr__(self, "_rows", dict(zip(keys, range(len(keys)))))
         object.__setattr__(self, "_slots", _theta_slots(index, self.K, self.d))
 
@@ -118,20 +114,13 @@ class ContingencyData:
     def prefix(self, total: int) -> "ContingencyData":
         """The table of the first cells in sorted order that hold ``total``
         counts, the last of them trimmed to fit; the whole table if
-        ``total`` is not below its own.  A slice of ``index`` and
-        ``counts``: nothing is sorted or validated again."""
+        ``total`` is not below its own."""
         cum = np.cumsum(self.counts)
         m = min(int(np.searchsorted(cum, total)) + 1, self.n_cells) if total > 0 else 0
-        counts = self.counts[:m].copy()
+        counts = self.counts[:m].tolist()
         if m:
-            counts[-1] = min(counts[-1], total - (cum[m - 2] if m > 1 else 0))
-        keys = list(islice(self._rows, m))
-        sub = object.__new__(ContingencyData)
-        for name in ("p", "d", "K"):
-            object.__setattr__(sub, name, getattr(self, name))
-        object.__setattr__(sub, "cells", dict(zip(keys, counts.tolist())))
-        sub._set(self.index[:m], counts, keys)
-        return sub
+            counts[-1] = min(counts[-1], total - int(cum[m - 2] if m > 1 else 0))
+        return ContingencyData(dict(zip(islice(self._rows, m), counts)), self.p, self.d, self.K)
 
 
 @dataclass(frozen=True)
@@ -458,42 +447,6 @@ def tv_multinomial_vs_rounded_gaussian(n: int, probs) -> float:
     # mass the Gaussian puts outside the enumerated region
     leak = max(0.0, 1.0 - float(gauss.sum()))
     return 0.5 * (float(np.abs(mult - gauss).sum()) + leak)
-
-
-def gaussnmin_threshold(
-    nu_tilde, H, epsilon: float, n_cells: int, C_const: float = 1.0
-) -> float:
-    """Advisory per-cell sample-size requirement for the Gaussian
-    substitution to cost at most ``epsilon`` TV overall.
-
-    Uses P_h = nu~_h times the number of strictly-larger-probability
-    classes, and the leftover class mass as the reference nu~_K.  The
-    leading constant (which depends on the number of Gaussian classes but
-    is not pinned down by the analysis) is supplied by the caller as
-    ``C_const``; the result is advisory, not a guarantee.
-    """
-    nu_tilde = np.asarray(nu_tilde, dtype=np.float64)
-    H = np.asarray(H, dtype=int)
-    if np.any((nu_tilde <= 0.0) | (nu_tilde >= 1.0)):
-        raise ValueError("nu_tilde entries must lie strictly in (0, 1)")
-    if epsilon <= 0.0 or n_cells < 1 or C_const <= 0.0:
-        raise ValueError("need epsilon > 0, n_cells >= 1, C_const > 0")
-    nu_h = nu_tilde[H]
-    nu_K = 1.0 - nu_h.sum()
-    if nu_K <= 0.0:
-        nu_K = float(nu_tilde.min())
-    k_h = len(H)
-    total = 0.0
-    for h in range(k_h):
-        v = nu_h[h]
-        P_h = v * float(np.sum(nu_h > v))
-        total += (
-            (1.0 - v)
-            * (1.0 - 2.0 * v + 2.0 * v * v)
-            * (1.0 + P_h / nu_K)
-            / math.sqrt(v * (1.0 - v))
-        )
-    return C_const / (n_cells * epsilon**2) * total**2
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "gaussian_kl",
     "pinsker_tv",
     "run_chain",
-    "adaptive_subset_size",
     "simulate_logistic",
 ]
 
@@ -184,39 +183,6 @@ def gaussian_kl(m1, S1, m2, S2) -> float:
 def pinsker_tv(kl: float) -> float:
     """TV upper bound sqrt(KL / 2), clamped to 1."""
     return min(math.sqrt(max(kl, 0.0) / 2.0), 1.0)
-
-
-def adaptive_subset_size(
-    lam_min: float,
-    lam_max: float,
-    p: int,
-    epsilon: float,
-    N: int,
-    C: float = 1.0,
-    M: float = 2.0,
-) -> int:
-    """Subset size targeting per-step kernel error ``epsilon``.
-
-    delta is the three-way minimum rate built from the spectrum of the
-    scaled curvature matrix (with ell_min = lam_min / 2 and ell_max =
-    lam_max + lam_min / 2); the size bound is
-    p C M^4 delta^{-2} log^2(2 M^2 delta^{-2}), clamped to [p + 1, N].
-    The constants are heuristic knobs, not guarantees.
-    """
-    if lam_min <= 0.0 or lam_max <= 0.0:
-        raise ValueError("eigenvalue estimates must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    ell_min = lam_min / 2.0
-    ell_max = lam_max + lam_min / 2.0
-    sp = math.sqrt(p)
-    delta = min(
-        2.0 * math.sqrt(2.0) * epsilon / sp * ell_min**2 / ell_max**1.5,
-        epsilon**2 * ell_min / (p * ell_max),
-        epsilon / sp * lam_min / (lam_min + lam_max),
-    )
-    bound = p * C * M**4 / delta**2 * math.log(2.0 * M**2 / delta**2) ** 2
-    return int(min(max(math.ceil(bound), p + 1), N))
 
 
 @dataclass

@@ -19,7 +19,6 @@ from amcmc.mixture import (
     _allocate,
     approx_multinomial_draw,
     cell_probability,
-    gaussnmin_threshold,
     gibbs_step_approx,
     gibbs_step_exact,
     init_state,
@@ -733,22 +732,8 @@ def test_allocate_on_an_empty_table(n_min):
 
 
 # ---------------------------------------------------------------------------
-# threshold advisory and simulation
+# simulation
 # ---------------------------------------------------------------------------
-
-
-def test_gaussnmin_threshold_scalings():
-    nu = np.array([0.5, 0.3, 0.2])
-    H = [0, 1]
-    base = gaussnmin_threshold(nu, H, epsilon=0.1, n_cells=10)
-    # quadratic in 1/epsilon, inverse in the cell count, linear in C
-    assert gaussnmin_threshold(nu, H, 0.05, 10) == pytest.approx(4 * base)
-    assert gaussnmin_threshold(nu, H, 0.1, 20) == pytest.approx(base / 2)
-    assert gaussnmin_threshold(nu, H, 0.1, 10, C_const=3.0) == pytest.approx(3 * base)
-    with pytest.raises(ValueError):
-        gaussnmin_threshold(nu, H, 0.0, 10)
-    with pytest.raises(ValueError):
-        gaussnmin_threshold(np.array([1.0, 0.0]), [0], 0.1, 10)
 
 
 def test_simulate_contingency_totals():

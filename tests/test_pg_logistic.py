@@ -13,7 +13,6 @@ from amcmc.pg_logistic import (
     LogisticData,
     PGState,
     SubsetPolicy,
-    adaptive_subset_size,
     gaussian_kl,
     gibbs_step_exact,
     gibbs_step_subset,
@@ -199,29 +198,3 @@ def test_audit_does_not_perturb_chain():
         audit_rng=SeededRng(12),
     )
     assert np.array_equal(r1.trace, r2.trace)
-
-
-# ---------------------------------------------------------------------------
-# adaptive sizing
-# ---------------------------------------------------------------------------
-
-
-def test_adaptive_size_monotone_in_epsilon():
-    sizes = [
-        adaptive_subset_size(0.2, 1.0, p=5, epsilon=e, N=10**9)
-        for e in (0.05, 0.1, 0.2, 0.5)
-    ]
-    assert all(b <= a for a, b in zip(sizes, sizes[1:]))
-
-
-def test_adaptive_size_clamped():
-    assert adaptive_subset_size(0.2, 1.0, p=5, epsilon=1e-6, N=1000) == 1000
-    assert adaptive_subset_size(0.5, 0.6, p=5, epsilon=10.0, N=1000) >= 6
-
-
-def test_adaptive_size_validation():
-    with pytest.raises(ValueError):
-        adaptive_subset_size(0.0, 1.0, 5, 0.1, 100)
-    with pytest.raises(ValueError):
-        adaptive_subset_size(0.1, 1.0, 5, 0.0, 100)
-
